@@ -10,7 +10,7 @@ cannot express.
 from tvgkit import (
     Lifetime,
     build_tvg,
-    temporal_betweenness,
+    temporal_betweenness_all,
     temporal_closeness,
 )
 
@@ -28,8 +28,8 @@ g = build_tvg(
 )
 
 print("foremost betweenness at t=0:")
-for q in range(g.n):
-    print(f"  node {q}: {temporal_betweenness(g, q, 0, 'foremost'):.2f}")
+for q, b in enumerate(temporal_betweenness_all(g, 0, "foremost")):
+    print(f"  node {q}: {b:.2f}")
 # Node 1 relays 0->2 but not 2->0: its betweenness is 1, not 2.
 
 print("\nforemost closeness at t=0 (mean delay to reachable nodes):")

@@ -43,6 +43,7 @@ from .temporal_metrics import (
     eccentricity,
     eccentricity_report,
     temporal_betweenness,
+    temporal_betweenness_all,
     temporal_closeness,
     temporal_series,
 )

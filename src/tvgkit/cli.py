@@ -35,6 +35,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class UsageError(Exception):
+    pass
+
+
 class DataError(Exception):
     pass
 
@@ -142,17 +146,17 @@ def _series_json(names, series_list) -> str:
 def cmd_evolve(args) -> int:
     names = [n.strip() for n in args.indicators.split(",") if n.strip()]
     if not names:
-        raise _config_error("no indicators requested")
+        raise UsageError("no indicators requested")
     known = windows.indicator_names()
     for name in names:
         if name not in known:
-            raise _config_error(
+            raise UsageError(
                 f"unknown indicator {name!r}; known: {', '.join(known)}"
             )
     try:
         spec = windows.WindowSpec(args.window, args.stride)
     except ValueError as exc:
-        raise _config_error(str(exc))
+        raise UsageError(str(exc))
     result = _read_trace(args)
     series_list = [
         windows.evolve(
@@ -217,7 +221,7 @@ def cmd_generate(args) -> int:
             burst=args.burst,
         )
     except ValueError as exc:
-        raise _config_error(str(exc))
+        raise UsageError(str(exc))
     _emit(text, args.output)
     return EXIT_OK
 
@@ -244,14 +248,6 @@ def cmd_footprint(args) -> int:
     return EXIT_OK
 
 
-class _ConfigError(Exception):
-    pass
-
-
-def _config_error(msg: str) -> _ConfigError:
-    return _ConfigError(msg)
-
-
 _COMMANDS = {
     "evolve": cmd_evolve,
     "query": cmd_query,
@@ -268,7 +264,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except _ConfigError as exc:
+    except UsageError as exc:
         print(f"tvgkit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

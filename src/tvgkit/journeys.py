@@ -12,7 +12,7 @@ arrival after a start time) and fastest (smallest arrival minus departure).
 from __future__ import annotations
 
 import heapq
-import math
+from operator import add
 from typing import Iterable, Optional
 
 from .core import TimeVaryingGraph
@@ -268,145 +268,125 @@ def distance_map(
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
-def minimal_route_counts(
-    g: TimeVaryingGraph,
-    u: int,
-    t: int,
-    kind: str,
-    strict: bool = False,
-    through: Optional[int] = None,
-) -> dict[int, tuple[int, int, int]]:
-    """Minimal-route counts from ``u`` at time ``t`` for every reachable target.
+def _fastest_step(pairs: tuple, p, strict: bool, limit: int) -> tuple:
+    """Pareto set of ``(departure, bound)`` pairs after crossing an edge.
 
-    A route is an edge sequence of at most n-1 hops realizable as a journey
-    departing at or after ``t``; it is minimal if its best achievable
-    measure equals the ``kind`` distance.  Returns, per reachable node v,
-    ``(distance, route count, routes with `through` as an interior node)``.
-    The source maps to ``(0, 1, 0)`` (the empty route).
+    ``pairs`` ascend in departure and in bound; a departure of None means
+    the route has not left the source yet, so this crossing fixes it.
+    Pairs that cannot cross are dropped, as are pairs whose duration
+    exceeds ``limit`` and pairs dominated by one that departs no earlier
+    with a bound no later.  The result ascends the same way.
+    """
+    out: list[tuple[int, int]] = []
+    for dep, lb in pairs:
+        tp = p.next_at_or_after(lb)
+        if tp is None:
+            break  # later bounds cannot cross either
+        if dep is None:
+            dep = tp
+        elif tp - dep > limit:
+            continue
+        r = tp + 1 if strict else tp
+        if out and out[-1][1] == r:
+            out[-1] = (dep, r)
+        else:
+            out.append((dep, r))
+    return tuple(out)
+
+
+def minimal_route_counts(
+    g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool = False
+) -> dict[int, tuple[int, int, tuple[int, ...]]]:
+    """Minimal-route counts from ``u`` at time ``t``, with every relay's share.
+
+    A route is a walk (an edge sequence, nodes may repeat) of at most n-1
+    hops realizable as a journey departing at or after ``t``; it is
+    minimal if its best achievable measure equals the ``kind`` distance to
+    its end.  Returns, per reachable node v, ``(distance, routes,
+    through)`` where ``through[q]`` is the number of minimal routes to v
+    that leave q as an interior node.  A route that visits q twice counts
+    once, and the source is never interior.  The source maps to
+    ``(0, 1, (0,) * n)``: the empty route.
+
+    One forward pass serves every relay.  Each state, a node with the bound
+    for its next crossing, carries its route count and its through-vector
+    (the count of its routes that left each node).  States merge only when
+    no continuation tells their routes apart, and are dropped only when
+    they can never end a minimal route: shortest drops a state whose node
+    an earlier hop reached with a bound no later; foremost drops crossings
+    after the latest foremost arrival; fastest keys each state by the
+    Pareto set of its ``(departure, bound)`` pairs and drops pairs longer
+    than the largest fastest distance.
     """
     _check_time(g, t)
     if kind not in KINDS:
         raise ValueError(f"unknown distance kind {kind!r}")
+    n = g.n
     if kind == "fastest":
-        return _fastest_route_counts(g, u, t, strict, through)
-
-    if kind == "foremost":
-        arrival_best, _ = _earliest_arrival(g, u, t, strict)
-        if len(arrival_best) > 1:
-            horizon = max(a for v, a in arrival_best.items() if v != u)
-        else:
-            horizon = t
+        limit = max(fastest_distance(g, u, t, strict).values())
+        start = tuple((None, s) for s in _departure_candidates(g, t, strict))
     else:
-        horizon = None
+        start = t
+        reached = {u: t}  # shortest: least bound per node over earlier hops
+        if kind == "foremost":
+            arrival, _ = _earliest_arrival(g, u, t, strict)
+            horizon = max(arrival.values())
 
-    # state: (node, bound for next crossing) -> [routes, routes through q]
-    layer: dict[tuple[int, int], list[int]] = {(u, t): [1, 0]}
-    totals: dict[int, list[int]] = {}
-    first_hop: dict[int, int] = {}
-    for h in range(1, g.n):
-        nxt: dict[tuple[int, int], list[int]] = {}
-        for (x, lb), (c, cq) in layer.items():
+    layer = {(u, start): (1, [0] * n)}
+    totals: dict[int, list] = {}
+    for h in range(1, n):
+        nxt: dict[tuple, tuple[int, list[int]]] = {}
+        for (x, state), (c, thr) in layer.items():
+            if x != u:
+                thr = thr.copy()
+                thr[x] = c
             for ei, y in g.out_edges(x):
-                tp = g.presence[ei].next_at_or_after(lb)
-                if tp is None:
-                    continue
-                if horizon is not None and tp > horizon:
-                    continue
-                r = tp + 1 if strict else tp
-                acc = nxt.setdefault((y, r), [0, 0])
-                acc[0] += c
-                acc[1] += c if (x == through and x != u) else cq
-        for (y, r), (c, cq) in nxt.items():
+                p = g.presence[ei]
+                if kind == "fastest":
+                    new = _fastest_step(state, p, strict, limit)
+                    if not new:
+                        continue
+                else:
+                    tp = p.next_at_or_after(state)
+                    if tp is None or (kind == "foremost" and tp > horizon):
+                        continue
+                    new = tp + 1 if strict else tp
+                    if kind == "shortest" and y in reached and reached[y] <= new:
+                        continue
+                acc = nxt.get((y, new))
+                if acc is None:
+                    nxt[(y, new)] = (c, thr)
+                else:
+                    nxt[(y, new)] = (acc[0] + c, list(map(add, acc[1], thr)))
+        for (y, state), (c, thr) in nxt.items():
             if y == u:
                 continue  # the empty route is the only minimal route to the source
             if kind == "shortest":
-                if y in first_hop and first_hop[y] < h:
+                if y in reached:
                     continue
-                first_hop.setdefault(y, h)
-            else:  # foremost: count routes whose earliest arrival is optimal
-                arr = r - 1 if strict else r
-                if arr != arrival_best[y]:
+                m = h
+            elif kind == "foremost":
+                arr = state - 1 if strict else state
+                if arr != arrival[y]:
                     continue
-            acc = totals.setdefault(y, [0, 0])
-            acc[0] += c
-            acc[1] += cq
-        layer = nxt
-        if not layer:
-            break
-    out: dict[int, tuple[int, int, int]] = {u: (0, 1, 0)}
-    for v, (c, cq) in totals.items():
+                m = arr - t
+            else:
+                m = min((r - 1 if strict else r) - dep for dep, r in state)
+            acc = totals.get(y)
+            if acc is None or m < acc[0]:
+                totals[y] = [m, c, thr]
+            elif m == acc[0]:
+                acc[1] += c
+                acc[2] = list(map(add, acc[2], thr))
         if kind == "shortest":
-            out[v] = (first_hop[v], c, cq)
-        else:
-            out[v] = (arrival_best[v] - t, c, cq)
-    return out
-
-
-def _fastest_route_counts(
-    g: TimeVaryingGraph, u: int, t: int, strict: bool, through: Optional[int]
-):
-    """Route counting for the fastest kind.
-
-    Each route class tracks, per candidate departure, the departure tick and
-    the greedy arrival; its best duration is minimized over candidates.
-    """
-    cands = _departure_candidates(g, t, strict)
-    # state: (node, profile) where profile[i] = (departure, bound) or None
-    init = tuple((None, s) for s in cands)  # departure fixed at first hop
-    layer: dict[tuple[int, tuple], list[int]] = {(u, init): [1, 0]}
-    # per target: best duration and counts of route classes achieving it
-    best: dict[int, int] = {}
-    counts: dict[int, list[int]] = {}
-
-    def record(y: int, profile: tuple, c: int, cq: int) -> None:
-        durs = [
-            (lb - 1 if strict else lb) - dep
-            for dep, lb in profile
-            if dep is not None
-        ]
-        if not durs:
-            return
-        d = min(durs)
-        if y not in best or d < best[y]:
-            best[y] = d
-            counts[y] = [0, 0]
-        if d == best[y]:
-            counts[y][0] += c
-            counts[y][1] += cq
-
-    for h in range(1, g.n):
-        nxt: dict[tuple[int, tuple], list[int]] = {}
-        for (x, profile), (c, cq) in layer.items():
-            for ei, y in g.out_edges(x):
-                p = g.presence[ei]
-                new = []
-                feasible = False
-                for dep, lb in profile:
-                    if lb is None:
-                        new.append((None, None))
-                        continue
-                    tp = p.next_at_or_after(lb)
-                    if tp is None:
-                        new.append((None, None))
-                        continue
-                    feasible = True
-                    r = tp + 1 if strict else tp
-                    new.append((tp if dep is None else dep, r))
-                if not feasible:
-                    continue
-                key = (y, tuple(new))
-                acc = nxt.setdefault(key, [0, 0])
-                acc[0] += c
-                acc[1] += c if (x == through and x != u) else cq
-        for (y, profile), (c, cq) in nxt.items():
-            if y != u:
-                record(y, profile, c, cq)
+            for y, r in nxt:
+                if y not in reached or r < reached[y]:
+                    reached[y] = r
         layer = nxt
         if not layer:
             break
-    out: dict[int, tuple[int, int, int]] = {u: (0, 1, 0)}
-    for v, d in best.items():
-        out[v] = (d, counts[v][0], counts[v][1])
+    out = {u: (0, 1, (0,) * n)}
+    out.update((v, (m, c, tuple(thr))) for v, (m, c, thr) in totals.items())
     return out
 
 

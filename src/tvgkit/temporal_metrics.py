@@ -24,17 +24,20 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown distance kind {kind!r}")
 
 
+def _eccentricity_of(d: dict[int, int], n: int, u: int) -> float:
+    if len(d) < n:
+        return math.inf
+    if n == 1:
+        return 0.0
+    return float(max(v for x, v in d.items() if x != u))
+
+
 def eccentricity(
     g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool = False
 ) -> float:
     """Max ``kind`` distance from ``u`` to every other node; inf if any is unreachable."""
     _check_kind(kind)
-    d = distance_map(g, u, t, kind, strict)
-    if len(d) < g.n:
-        return math.inf
-    if g.n == 1:
-        return 0.0
-    return float(max(v for x, v in d.items() if x != u))
+    return _eccentricity_of(distance_map(g, u, t, kind, strict), g.n, u)
 
 
 def diameter(g: TimeVaryingGraph, t: int, kind: str, strict: bool = False) -> float:
@@ -66,30 +69,44 @@ def eccentricity_report(
 ) -> EccentricityReport:
     report = EccentricityReport(t, {k: {} for k in KINDS})
     for u in range(g.n):
-        report.reachable_count[u] = len(distance_map(g, u, t, "foremost", strict))
         for kind in KINDS:
-            report.values[kind][u] = eccentricity(g, u, t, kind, strict)
+            d = distance_map(g, u, t, kind, strict)
+            report.values[kind][u] = _eccentricity_of(d, g.n, u)
+            if kind == "foremost":
+                report.reachable_count[u] = len(d)
     return report
+
+
+def temporal_betweenness_all(
+    g: TimeVaryingGraph, t: int, kind: str, strict: bool = False
+) -> list[float]:
+    """Temporal betweenness of every node, indexed by node.
+
+    Entry q sums, over ordered pairs (u, v) with u, v and q distinct, the
+    fraction of minimal routes from u to v (walks of at most n-1 hops, see
+    ``minimal_route_counts``) that use q as an interior node; a route
+    counts once for q however often it passes q.  One route-count pass
+    per source serves every q.
+    """
+    _check_kind(kind)
+    if t not in g.lifetime:
+        raise ValueError(f"t={t} outside lifetime")
+    total = [0.0] * g.n
+    for u in range(g.n):
+        for v, (_, c, through) in minimal_route_counts(g, u, t, kind, strict).items():
+            if v == u:
+                continue
+            for q, cq in enumerate(through):
+                if q != u and q != v:
+                    total[q] += cq / c
+    return total
 
 
 def temporal_betweenness(
     g: TimeVaryingGraph, q: int, t: int, kind: str, strict: bool = False
 ) -> float:
-    """Sum over ordered pairs (u, v) avoiding ``q`` of the fraction of
-    minimal routes that use ``q`` as an interior node."""
-    _check_kind(kind)
-    if t not in g.lifetime:
-        raise ValueError(f"t={t} outside lifetime")
-    total = 0.0
-    for u in range(g.n):
-        if u == q:
-            continue
-        counts = minimal_route_counts(g, u, t, kind, strict, through=q)
-        for v, (_, c, cq) in counts.items():
-            if v == u or v == q or c == 0:
-                continue
-            total += cq / c
-    return total
+    """Temporal betweenness of ``q``: entry q of ``temporal_betweenness_all``."""
+    return temporal_betweenness_all(g, t, kind, strict)[q]
 
 
 def temporal_closeness(
@@ -174,9 +191,7 @@ def _window_betweenness(g, t, kind, reducer, node_policy, strict=False) -> float
     g2 = _policy_graph(g, node_policy)
     if g2 is None:
         return math.nan
-    return _reduce(
-        [temporal_betweenness(g2, q, t, kind, strict) for q in range(g2.n)], reducer
-    )
+    return _reduce(temporal_betweenness_all(g2, t, kind, strict), reducer)
 
 
 _WINDOW_INDICATORS = {

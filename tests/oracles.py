@@ -119,27 +119,63 @@ def oracle_distances(g, u, t, strict=False):
     return {"shortest": shortest, "foremost": foremost, "fastest": fastest}
 
 
+def walk_measure(g, route, t, kind, strict=False):
+    """Hops, arrival delay after t or best duration of a feasible walk."""
+    if kind == "shortest":
+        return len(route)
+    if kind == "foremost":
+        return greedy_crossings(g, route, t, strict)[-1] - t
+    if kind == "fastest":
+        return route_best_duration(g, route, t, strict)
+    raise ValueError(kind)
+
+
+def walk_nodes(g, u, route):
+    """Node sequence visited by a walk of edge indices out of u."""
+    nodes = [u]
+    for ei in route:
+        e = g.edges[ei]
+        nodes.append(e.v if e.u == nodes[-1] else e.u)
+    return nodes
+
+
 def oracle_route_count(g, u, v, t, kind, strict=False):
     """(distance, count of minimal routes up to n-1 hops), or None."""
     if u == v:
         return (0, 1)
-    measures = []
-    for route, end in iter_feasible_walks(g, u, t, strict):
-        if end != v:
-            continue
-        if kind == "shortest":
-            m = len(route)
-        elif kind == "foremost":
-            m = greedy_crossings(g, route, t, strict)[-1] - t
-        elif kind == "fastest":
-            m = route_best_duration(g, route, t, strict)
-        else:
-            raise ValueError(kind)
-        measures.append(m)
+    measures = [
+        walk_measure(g, route, t, kind, strict)
+        for route, end in iter_feasible_walks(g, u, t, strict)
+        if end == v
+    ]
     if not measures:
         return None
     best = min(measures)
     return best, sum(1 for m in measures if m == best)
+
+
+def oracle_betweenness(g, t, kind, strict=False):
+    """Per-node temporal betweenness by enumerating every feasible walk.
+
+    For each ordered pair (u, v), each minimal walk from u to v adds
+    1 / (number of minimal walks) to every node it leaves as an interior
+    node, once per walk however often the walk passes it.
+    """
+    bc = [0.0] * g.n
+    for u in range(g.n):
+        by_end = {}
+        for route, end in iter_feasible_walks(g, u, t, strict):
+            if end != u:
+                by_end.setdefault(end, []).append(
+                    (walk_measure(g, route, t, kind, strict), route)
+                )
+        for v, walks in by_end.items():
+            best = min(m for m, _ in walks)
+            minimal = [route for m, route in walks if m == best]
+            for route in minimal:
+                for q in set(walk_nodes(g, u, route)[1:-1]) - {u, v}:
+                    bc[q] += 1 / len(minimal)
+    return bc
 
 
 def oracle_journey_exists(g, u, v, t, strict=False):

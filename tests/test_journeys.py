@@ -208,19 +208,42 @@ class TestRouteCounts:
     @pytest.mark.parametrize("kind", ["shortest", "foremost", "fastest"])
     def test_matches_walk_enumeration(self, kind):
         rng = random.Random(47)
-        for _ in range(40):
-            g = random_tvg(rng, n_max=5, e_max=8)
-            t = rng.randrange(g.lifetime.start, g.lifetime.end)
-            u, v = rng.sample(range(g.n), 2)
-            assert count_minimal_journeys(g, u, v, t, kind) == oracle_route_count(
-                g, u, v, t, kind
-            )
+        for directed in (False, True):
+            for strict in (False, True):
+                for _ in range(40):
+                    g = random_tvg(rng, n_max=5, e_max=8, directed=directed)
+                    t = rng.randrange(g.lifetime.start, g.lifetime.end)
+                    u, v = rng.sample(range(g.n), 2)
+                    assert count_minimal_journeys(
+                        g, u, v, t, kind, strict
+                    ) == oracle_route_count(g, u, v, t, kind, strict)
 
     def test_interior_counts_on_path(self):
         g = tvg([(0, 1, 0, 10), (1, 2, 0, 10)])
-        res = minimal_route_counts(g, 0, 0, "shortest", through=1)
-        assert res[2] == (2, 1, 1)
-        assert res[1] == (1, 1, 0)  # endpoint, not interior
+        res = minimal_route_counts(g, 0, 0, "shortest")
+        d, c, through = res[2]
+        assert (d, c, through[1]) == (2, 1, 1)
+        d, c, through = res[1]
+        assert (d, c, through[1]) == (1, 1, 0)  # endpoint, not interior
+
+    def test_later_hop_with_earlier_bound_is_kept(self):
+        # 1 is reached at hop 1 with bound 1 and at hop 2 (via 2) with bound
+        # 0; only the second can still cross 1-3, so the route 0-2-1-3 is
+        # the shortest route to 3
+        g = tvg([(0, 1, 1, 2), (0, 2, 0, 1), (1, 2, 0, 1), (1, 3, 0, 1)], n=4)
+        assert minimal_route_counts(g, 0, 0, "shortest")[3] == (3, 1, (0, 1, 1, 0))
+        assert oracle_route_count(g, 0, 3, 0, "shortest") == (3, 1)
+
+    def test_revisited_relay_counts_once_per_route(self):
+        # foremost routes to 3: 0-1-3, and 0-1-2-1-3 which leaves 1 twice
+        g = tvg(
+            [(0, 1, 0, 1), (1, 2, 0, 10), (2, 1, 0, 10), (1, 3, 5, 6)],
+            n=5,
+            directed=True,
+        )
+        d, c, through = minimal_route_counts(g, 0, 0, "foremost")[3]
+        assert (d, c) == (5, 2)
+        assert through == (0, 2, 1, 0, 0)  # the revisiting route adds 1 to node 1, not 2
 
 
 class TestOracleSweep:

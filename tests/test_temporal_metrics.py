@@ -2,21 +2,28 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tvgkit.core import Lifetime, build_tvg
-from tvgkit.journeys import distance_map
+from tvgkit.core import Lifetime, active_nodes, build_tvg, footprint
+from tvgkit.journeys import distance_map, minimal_route_counts
 from tvgkit.temporal_metrics import (
     diameter,
     eccentricity,
     eccentricity_report,
     restrict_nodes,
     temporal_betweenness,
+    temporal_betweenness_all,
     temporal_closeness,
     temporal_series,
 )
-from tvgkit.windows import WindowSpec
+from tvgkit.windows import WindowSpec, evolve, tvg_sequence
 
-from oracles import oracle_distances, random_always_on_tvg, random_tvg
+from oracles import (
+    oracle_betweenness,
+    oracle_distances,
+    random_always_on_tvg,
+    random_tvg,
+)
 
 
 def tvg(events, n=3, end=10, directed=False):
@@ -128,6 +135,66 @@ class TestBetweenness:
                 assert temporal_betweenness(g, q, 0, "shortest") == pytest.approx(
                     2 * ref[q]
                 )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        kind=st.sampled_from(["shortest", "foremost", "fastest"]),
+        directed=st.booleans(),
+        strict=st.booleans(),
+    )
+    def test_all_nodes_match_walk_oracle(self, seed, kind, directed, strict):
+        rng = random.Random(seed)
+        g = random_tvg(rng, n_max=6, e_max=9, horizon=10, directed=directed)
+        t = rng.randrange(g.lifetime.start, g.lifetime.end)
+        got = temporal_betweenness_all(g, t, kind, strict)
+        assert got == pytest.approx(oracle_betweenness(g, t, kind, strict))
+
+    @pytest.mark.parametrize("kind", ["shortest", "foremost", "fastest"])
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_labelled_parallel_edges_match_walk_oracle(self, kind, strict, directed):
+        # two labelled 0-1 links and two 1-2 links with different presences
+        g = tvg(
+            [
+                (0, 1, 0, 3, "bus"),
+                (0, 1, 2, 6, "tram"),
+                (1, 2, 1, 4, "bus"),
+                (1, 2, 5, 8, "tram"),
+                (2, 3, 3, 9),
+                (1, 3, 7, 9),
+            ],
+            n=4,
+            directed=directed,
+        )
+        assert len(g.edges) == 6
+        for t in (0, 2, 5):
+            got = temporal_betweenness_all(g, t, kind, strict)
+            assert got == pytest.approx(oracle_betweenness(g, t, kind, strict))
+            for q in range(g.n):
+                assert temporal_betweenness(g, q, t, kind, strict) == got[q]
+
+    def test_one_route_count_pass_per_active_node_per_window(self, monkeypatch):
+        sources = []
+
+        def counting(g, u, t, kind, strict=False):
+            sources.append(u)
+            return minimal_route_counts(g, u, t, kind, strict)
+
+        monkeypatch.setattr("tvgkit.temporal_metrics.minimal_route_counts", counting)
+        g = tvg(
+            [(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (3, 4, 6, 12), (0, 4, 10, 12)],
+            n=5,
+            end=12,
+        )
+        spec = WindowSpec(4)
+        evolve(g, spec, "betweenness", kind="foremost")
+        active = [
+            len(active_nodes(footprint(sub, sub.lifetime.start, sub.lifetime.end)))
+            for sub in tvg_sequence(g, spec)
+        ]
+        assert sum(n * (n - 1) for n in active) > sum(active)
+        assert sources == [u for n in active for u in range(n)]
 
 
 class TestCloseness:
