@@ -12,10 +12,11 @@ arrival after a start time) and fastest (smallest arrival minus departure).
 from __future__ import annotations
 
 import heapq
+import math
 from operator import add
 from typing import Iterable, Optional
 
-from .core import TimeVaryingGraph
+from .core import PresenceSet, TimeVaryingGraph
 
 KINDS = ("shortest", "foremost", "fastest")
 
@@ -55,12 +56,15 @@ def is_journey(g: TimeVaryingGraph, steps: Iterable[Step], strict: bool = False)
     return True
 
 
-def _earliest_arrival(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
+def _earliest_arrival(g: TimeVaryingGraph, u: int, t: int, strict: bool = False, dominance=None):
     """Earliest-arrival relaxation from ``u`` with first crossing >= ``t``.
 
     Returns (arrival, pred) where arrival[v] is the minimal last-crossing
     time of a journey u->v departing >= t (arrival[u] = t), and pred[v] is
-    the (prev node, edge index, crossing time) of one witness.
+    the (prev node, edge index, crossing time) of one witness.  Given a
+    ``dominance`` map (node -> earliest arrival of some later departure), a
+    node settled no earlier than its entry is not expanded, so nodes beyond
+    it may arrive late; every other settled node lowers its entry.
     """
     arrival = {u: t}
     ready = {u: t}
@@ -72,6 +76,10 @@ def _earliest_arrival(g: TimeVaryingGraph, u: int, t: int, strict: bool = False)
         if x in done:
             continue
         done.add(x)
+        if dominance is not None:
+            if dominance.get(x, a + 1) <= a:
+                continue
+            dominance[x] = a
         lb = ready[x]
         for ei, y in g.out_edges(x):
             if y in done:
@@ -97,14 +105,17 @@ def foremost_distance(
 
 
 def _layered_states(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
-    """Per hop budget h, the minimal next-crossing bound reachable at each node.
+    """Hop-by-hop search for the least next-crossing bound at each node.
 
-    Returns (best, pred): best[(h, x)] -> lower bound for the next crossing
-    after reaching x in exactly h hops; pred[(h, x)] -> (x_prev, edge,
-    crossing time) of a witness route of length h.
+    At hop h a state ``(y, r)`` is dropped when an earlier hop reached y
+    with a bound <= r: every continuation is then available in fewer hops.
+    So the first hop at which a node enters is its shortest distance.
+    Returns (dist, pred): dist[x] -> that hop; pred[(h, x)] -> ((h - 1,
+    x_prev), edge, crossing time) of a witness route of length h.
     """
-    best = {(0, u): t}
-    pred: dict[tuple[int, int], Optional[tuple[int, int, int]]] = {(0, u): None}
+    reached = {u: t}  # least bound per node over the hops so far
+    dist = {u: 0}
+    pred: dict[tuple[int, int], tuple[tuple[int, int], int, int]] = {}
     frontier = {u: t}
     for h in range(1, g.n):
         nxt: dict[int, int] = {}
@@ -116,13 +127,13 @@ def _layered_states(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
                 r = tp + 1 if strict else tp
                 if y not in nxt or r < nxt[y]:
                     nxt[y] = r
-                    pred[(h, y)] = (x, ei, tp)
-        for y, r in nxt.items():
-            best[(h, y)] = r
-        frontier = nxt
+                    pred[(h, y)] = ((h - 1, x), ei, tp)
+        frontier = {y: r for y, r in nxt.items() if r < reached.get(y, math.inf)}
+        reached.update(frontier)
+        dist.update((y, h) for y in sorted(frontier) if y not in dist)
         if not frontier:
             break
-    return best, pred
+    return dist, pred
 
 
 def shortest_distance(
@@ -130,12 +141,7 @@ def shortest_distance(
 ) -> dict[int, int]:
     """Minimal hop count per reachable node over journeys departing >= ``t``."""
     _check_time(g, t)
-    best, _ = _layered_states(g, u, t, strict)
-    dist: dict[int, int] = {}
-    for (h, x) in sorted(best):
-        if x not in dist:
-            dist[x] = h
-    return dist
+    return _layered_states(g, u, t, strict)[0]
 
 
 def _departure_candidates(g: TimeVaryingGraph, t: int, strict: bool = False) -> list[int]:
@@ -160,21 +166,38 @@ def _departure_candidates(g: TimeVaryingGraph, t: int, strict: bool = False) -> 
     return sorted(cand)
 
 
+def _fastest_sweep(g: TimeVaryingGraph, u: int, cands: list[int], strict: bool = False):
+    """(dur, preds) of ``fastest_distance`` over the departures ``cands``;
+    preds[v] is the predecessor map of the search that achieved dur[v]."""
+    leaving = PresenceSet(iv for ei, _ in g.out_edges(u) for iv in g.presence[ei].intervals)
+    dur = {u: 0}
+    preds: dict[int, dict] = {}
+    dominance: dict[int, int] = {}
+    for s in reversed(cands):
+        if s not in leaving:
+            continue
+        arrival, pred = _earliest_arrival(g, u, s, strict, dominance)
+        for v, a in arrival.items():
+            if v != u and a - s <= dur.get(v, a - s):  # <=: latest first
+                dur[v] = a - s
+                preds[v] = pred
+    return dur, preds
+
+
 def fastest_distance(
     g: TimeVaryingGraph, u: int, t: int, strict: bool = False
 ) -> dict[int, int]:
-    """Minimal journey duration (arrival - departure) per reachable node."""
+    """Minimal journey duration (arrival - departure) per reachable node.
+
+    One earliest-arrival search per departure candidate, latest first.  A
+    node settled no earlier than a later departure reached it is not
+    expanded: that departure reaches everything beyond it no later, with a
+    shorter duration.  A candidate at which no out-edge of ``u`` is present
+    is skipped, as a later candidate makes the same first crossing.  Ties
+    go to the earliest departure.
+    """
     _check_time(g, t)
-    dur: dict[int, int] = {u: 0}
-    for s in _departure_candidates(g, t, strict):
-        arrival, _ = _earliest_arrival(g, u, s, strict)
-        for v, a in arrival.items():
-            if v == u:
-                continue
-            d = a - s
-            if v not in dur or d < dur[v]:
-                dur[v] = d
-    return dur
+    return _fastest_sweep(g, u, _departure_candidates(g, t, strict), strict)[0]
 
 
 def temporal_view(
@@ -208,51 +231,37 @@ def temporal_view(
     return latest.get(u)
 
 
+def _walk_back(pred: dict, src, dst) -> list[Step]:
+    """Steps of the witness ending at ``dst`` in a predecessor map."""
+    steps = []
+    while dst != src:
+        dst, ei, tp = pred[dst]
+        steps.append((ei, tp))
+    return steps[::-1]
+
+
 def witness_journey(
     g: TimeVaryingGraph, u: int, v: int, t: int, kind: str, strict: bool = False
 ) -> Optional[list[Step]]:
-    """One journey achieving the ``kind`` distance from u to v at t, or None."""
+    """One journey achieving the ``kind`` distance from u to v at t, or None.
+
+    Shortest walks back from the hop at which v first enters the pruned
+    layers; fastest from the earliest departure of minimal duration in the
+    latest-first sweep of ``fastest_distance``.
+    """
     _check_time(g, t)
     if kind not in KINDS:
         raise ValueError(f"unknown distance kind {kind!r}")
     if u == v:
         return []
     if kind == "foremost":
-        arrival, pred = _earliest_arrival(g, u, t, strict)
-        if v not in arrival:
-            return None
-        steps = []
-        x = v
-        while x != u:
-            px, ei, tp = pred[x]
-            steps.append((ei, tp))
-            x = px
-        return steps[::-1]
+        pred = _earliest_arrival(g, u, t, strict)[1]
+        return _walk_back(pred, u, v) if v in pred else None
     if kind == "shortest":
-        best, pred = _layered_states(g, u, t, strict)
-        hs = [h for (h, x) in best if x == v]
-        if not hs:
-            return None
-        h = min(hs)
-        steps = []
-        x = v
-        while h > 0:
-            px, ei, tp = pred[(h, x)]
-            steps.append((ei, tp))
-            x, h = px, h - 1
-        return steps[::-1]
-    # fastest: find the best departure candidate, then extract its foremost witness
-    best_s = None
-    best_d = None
-    for s in _departure_candidates(g, t, strict):
-        arrival, _ = _earliest_arrival(g, u, s, strict)
-        if v in arrival:
-            d = arrival[v] - s
-            if best_d is None or d < best_d:
-                best_d, best_s = d, s
-    if best_s is None:
-        return None
-    return witness_journey(g, u, v, best_s, "foremost", strict)
+        dist, pred = _layered_states(g, u, t, strict)
+        return _walk_back(pred, (0, u), (dist[v], v)) if v in dist else None
+    _, preds = _fastest_sweep(g, u, _departure_candidates(g, t, strict), strict)
+    return _walk_back(preds[v], u, v) if v in preds else None
 
 
 def distance_map(
@@ -323,8 +332,9 @@ def minimal_route_counts(
         raise ValueError(f"unknown distance kind {kind!r}")
     n = g.n
     if kind == "fastest":
-        limit = max(fastest_distance(g, u, t, strict).values())
-        start = tuple((None, s) for s in _departure_candidates(g, t, strict))
+        cands = _departure_candidates(g, t, strict)
+        limit = max(_fastest_sweep(g, u, cands, strict)[0].values())
+        start = tuple((None, s) for s in cands)
     else:
         start = t
         reached = {u: t}  # shortest: least bound per node over earlier hops

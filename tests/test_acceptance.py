@@ -205,3 +205,15 @@ def test_8_cli_golden_files(tmp_path, capsys):
     assert code == 0
     got = capsys.readouterr().out
     assert got.encode() == (DATA / "query_golden.txt").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["shortest", "fastest"])
+def test_9_cli_golden_witnesses(kind, capsys):
+    """query prints the checked-in shortest and fastest witness byte for byte."""
+    trace = str(DATA / "contacts.csv")
+    code = cli.main(
+        ["query", trace, "--from", "alice", "--to", "erin", "--at", "0", "--kind", kind]
+    )
+    assert code == 0
+    got = capsys.readouterr().out
+    assert got.encode() == (DATA / f"query_{kind}_golden.txt").read_bytes()

@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tvgkit.core import Lifetime, build_tvg, footprint
+from tvgkit.core import Lifetime, PresenceSet, build_tvg, footprint
 from tvgkit.journeys import (
+    _departure_candidates,
     count_minimal_journeys,
     distance_map,
     fastest_distance,
@@ -28,6 +30,29 @@ from oracles import (
 
 def tvg(events, n=3, end=10, directed=False):
     return build_tvg(n, directed, Lifetime(0, end), events)
+
+
+def with_labelled_parallels(rng, g):
+    """``g`` plus a labelled parallel copy, with its own presence, of some links."""
+    events = [
+        (e.u, e.v, a, b, e.label)
+        for e, p in zip(g.edges, g.presence)
+        for a, b in p.intervals
+    ]
+    end = g.lifetime.end
+    for e in rng.sample(g.edges, rng.randint(1, len(g.edges))):
+        a = rng.randrange(0, end - 1)
+        events.append((e.u, e.v, a, rng.randrange(a + 1, end + 1), "alt"))
+    return build_tvg(g.n, g.directed, g.lifetime, events)
+
+
+def walk_end(g, u, steps):
+    """Node a journey out of u ends at (u itself for the empty journey)."""
+    x = u
+    for ei, _ in steps:
+        e = g.edges[ei]
+        x = e.v if e.u == x else e.u
+    return x
 
 
 class TestIsJourney:
@@ -140,6 +165,12 @@ class TestFastest:
         # optimal departure 4 = last tick of [0,5), neither an onset nor t
         g = tvg([(0, 1, 0, 5), (1, 2, 7, 9)])
         assert fastest_distance(g, 0, 0)[2] == 3
+
+    def test_witness_departs_at_earliest_of_tied_departures(self):
+        # departing at 0 or at 5 both give duration 0; the witness leaves at 0
+        g = tvg([(0, 1, 0, 1), (0, 1, 5, 6), (1, 2, 0, 1), (1, 2, 5, 6)])
+        assert fastest_distance(g, 0, 0)[2] == 0
+        assert witness_journey(g, 0, 2, 0, "fastest") == [(0, 0), (1, 0)]
 
     def test_fastest_at_most_foremost(self):
         rng = random.Random(41)
@@ -294,27 +325,104 @@ class TestWitness:
     @pytest.mark.parametrize("kind", ["shortest", "foremost", "fastest"])
     def test_witness_is_valid_and_optimal(self, kind):
         rng = random.Random(71)
-        for _ in range(40):
-            g = random_tvg(rng)
-            t = rng.randrange(g.lifetime.start, g.lifetime.end)
-            u = rng.randrange(g.n)
-            d = distance_map(g, u, t, kind)
+        for directed in (False, True):
+            for strict in (False, True):
+                for _ in range(40):
+                    g = random_tvg(rng, directed=directed)
+                    t = rng.randrange(g.lifetime.start, g.lifetime.end)
+                    u = rng.randrange(g.n)
+                    d = distance_map(g, u, t, kind, strict)
+                    for v in range(g.n):
+                        steps = witness_journey(g, u, v, t, kind, strict)
+                        if v not in d:
+                            assert steps is None
+                            continue
+                        assert is_journey(g, steps, strict=strict)
+                        if not steps:
+                            assert u == v
+                            continue
+                        assert steps[0][1] >= t
+                        assert walk_end(g, u, steps) == v
+                        if kind == "shortest":
+                            assert len(steps) == d[v]
+                        elif kind == "foremost":
+                            assert steps[-1][1] - t == d[v]
+                        else:
+                            assert steps[-1][1] - steps[0][1] == d[v]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        directed=st.booleans(),
+        strict=st.booleans(),
+        labelled=st.booleans(),
+    )
+    def test_pruned_searches_match_oracle(self, seed, directed, strict, labelled):
+        rng = random.Random(seed)
+        g = random_tvg(rng, n_max=6, e_max=9, horizon=10, directed=directed)
+        if labelled:
+            g = with_labelled_parallels(rng, g)
+        t = rng.randrange(g.lifetime.start, g.lifetime.end)
+        for u in range(g.n):
+            expect = oracle_distances(g, u, t, strict)
+            assert shortest_distance(g, u, t, strict) == expect["shortest"]
+            assert fastest_distance(g, u, t, strict) == expect["fastest"]
             for v in range(g.n):
-                steps = witness_journey(g, u, v, t, kind)
-                if v not in d:
-                    assert steps is None
+                hops = witness_journey(g, u, v, t, "shortest", strict)
+                fast = witness_journey(g, u, v, t, "fastest", strict)
+                if v not in expect["shortest"]:
+                    assert hops is None and fast is None
                     continue
-                assert is_journey(g, steps)
-                if not steps:
-                    assert u == v
-                    continue
-                assert steps[0][1] >= t
-                if kind == "shortest":
-                    assert len(steps) == d[v]
-                elif kind == "foremost":
-                    assert steps[-1][1] - t == d[v]
-                else:
-                    assert steps[-1][1] - steps[0][1] == d[v]
+                for steps in (hops, fast):
+                    assert is_journey(g, steps, strict=strict)
+                    assert walk_end(g, u, steps) == v
+                    assert not steps or steps[0][1] >= t
+                assert len(hops) == expect["shortest"][v]
+                duration = fast[-1][1] - fast[0][1] if fast else 0
+                assert duration == expect["fastest"][v]
+
+
+class TestSearchWork:
+    """Presence-query counts (not timings) of the pruned searches."""
+
+    @pytest.fixture
+    def queried(self, monkeypatch):
+        calls = []
+        next_at_or_after = PresenceSet.next_at_or_after
+
+        def counting(p, t):
+            calls.append(p)
+            return next_at_or_after(p, t)
+
+        monkeypatch.setattr(PresenceSet, "next_at_or_after", counting)
+        return calls
+
+    def test_shortest_on_path_is_linear(self, queried):
+        n = 30
+        g = tvg([(i, i + 1, 0, 10) for i in range(n - 1)], n=n)
+        assert shortest_distance(g, 0, 0) == {i: i for i in range(n)}
+        assert len(queried) <= 2 * (n - 1)
+
+    def test_fastest_expands_a_one_tick_source_at_most_twice(self, queried):
+        # the source's only link is present at tick 5; the 1-2-3 links
+        # open and close often, which makes many departure candidates
+        events = [(0, 1, 5, 6)]
+        events += [(1, 2, a, a + 1) for a in range(0, 30, 3)]
+        events += [(2, 3, a, a + 2) for a in range(1, 28, 4)]
+        g = tvg(events, n=4, end=30)
+        assert len(_departure_candidates(g, 0)) >= 10
+        assert fastest_distance(g, 0, 0) == oracle_distances(g, 0, 0)["fastest"]
+        source_link = g.presence[g.out_edges(0)[0][0]]
+        assert sum(p is source_link for p in queried) <= 2
+
+    def test_fastest_does_not_expand_nodes_a_later_departure_reached(self, queried):
+        # departing at 9 reaches 2..5 at 9; departing at 0 reaches 2 no
+        # earlier, so the chain beyond 2 is searched once, not twice
+        chain = [(i, i + 1, 9, 10) for i in range(1, 5)]
+        g = tvg([(0, 1, 0, 10)] + chain, n=6)
+        assert fastest_distance(g, 0, 0) == {v: 0 for v in range(6)}
+        beyond = [p for e, p in zip(g.edges, g.presence) if min(e.u, e.v) >= 2]
+        assert sum(p is q for p in queried for q in beyond) == len(beyond)
 
 
 class TestFootprintSeparation:
