@@ -1,23 +1,22 @@
 """Watching a network's structure change through a sliding window.
 
-The `evolve` entry point cuts a time-varying graph's lifetime into
+The `evolve_many` entry point cuts a time-varying graph's lifetime into
 windows, aggregates each window into a static footprint (or temporal
-subgraph), and evaluates an indicator per window.  On the bundled
-phase-transition generator this makes the regime change obvious: sparse
-random contacts first, tight cliques afterwards.
+subgraph), and evaluates every requested indicator per window.  On the
+bundled phase-transition generator this makes the regime change obvious:
+sparse random contacts first, tight cliques afterwards.
 """
 
-from tvgkit import WindowSpec, evolve, generate_trace, parse_trace
+from tvgkit import WindowSpec, evolve_many, generate_trace, parse_trace
 
 text = generate_trace("phase-transition", seed=7)
 g = parse_trace(text).graph
 print(f"trace: {g.n} nodes, {len(g.edges)} edges, lifetime {g.lifetime}")
 
 spec = WindowSpec(length=10)
-series = {
-    name: evolve(g, spec, name)
-    for name in ("density", "avg_clustering", "powerlaw", "diameter")
-}
+names = ("density", "avg_clustering", "powerlaw", "diameter")
+# one pass over the windows evaluates all four indicators
+series = dict(zip(names, evolve_many(g, spec, names)))
 
 header = f"{'window':>12s}" + "".join(f"{n:>16s}" for n in series)
 print(header)

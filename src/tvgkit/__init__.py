@@ -53,6 +53,7 @@ from .windows import (
     IndicatorSeries,
     WindowSpec,
     evolve,
+    evolve_many,
     footprint_sequence,
     tvg_sequence,
     windows_of,

@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import synth, trace_io, windows
 from .core import footprint
-from .journeys import KINDS, distance_map, witness_journey
+from .journeys import KINDS, witness_journey
 from .static_metrics import LimitExceededError
 from .trace_io import TraceFormatError
 
@@ -158,17 +158,14 @@ def cmd_evolve(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     result = _read_trace(args)
-    series_list = [
-        windows.evolve(
-            result.graph,
-            spec,
-            name,
-            node_policy=args.node_policy,
-            kind=args.kind,
-            reducer=args.reducer,
-        )
-        for name in names
-    ]
+    series_list = windows.evolve_many(
+        result.graph,
+        spec,
+        names,
+        node_policy=args.node_policy,
+        kind=args.kind,
+        reducer=args.reducer,
+    )
     text = (
         _series_csv(names, series_list)
         if args.format == "csv"
@@ -176,6 +173,17 @@ def cmd_evolve(args) -> int:
     )
     _emit(text, args.output)
     return EXIT_OK
+
+
+def _journey_measure(steps, t: int, kind: str) -> int:
+    """The ``kind`` distance a witness journey departing at or after ``t`` achieves."""
+    if not steps:
+        return 0
+    if kind == "shortest":
+        return len(steps)
+    if kind == "foremost":
+        return steps[-1][1] - t
+    return steps[-1][1] - steps[0][1]
 
 
 def cmd_query(args) -> int:
@@ -191,12 +199,11 @@ def cmd_query(args) -> int:
         raise DataError(
             f"time {t} outside lifetime [{g.lifetime.start},{g.lifetime.end})"
         )
-    dist = distance_map(g, u, t, args.kind)
-    if v not in dist:
+    steps = witness_journey(g, u, v, t, args.kind)
+    if steps is None:
         print("unreachable")
         return EXIT_OK
-    steps = witness_journey(g, u, v, t, args.kind)
-    print(dist[v])
+    print(_journey_measure(steps, t, args.kind))
     print(
         " ".join(
             f"({result.names[g.edges[ei].u]},{result.names[g.edges[ei].v]})@{tc}"

@@ -52,7 +52,8 @@ def clustering_coefficient(f: Footprint, x: int) -> float:
     k = len(nb)
     if k <= 1:
         return math.nan
-    links = sum(1 for u, v in combinations(nb, 2) if v in f.neighbors(u))
+    # each adjacent neighbour pair is seen from both of its ends
+    links = sum(len(nb & f.neighbors(u)) for u in nb) // 2
     return 2 * links / (k * (k - 1))
 
 
@@ -78,10 +79,14 @@ def pair_modularity(f: Footprint, u: int, v: int) -> float:
 
 def average_modularity(f: Footprint) -> float:
     """Mean pair modularity over unordered node pairs."""
-    if f.num_nodes < 2 or len(f.undirected_edges()) == 0:
+    m = len(f.undirected_edges())
+    if f.num_nodes < 2 or m == 0:
         return math.nan
-    pairs = list(combinations(f.nodes, 2))
-    return sum(pair_modularity(f, u, v) for u, v in pairs) / len(pairs)
+    # the terms of pair_modularity, summed in the same pair order
+    two_m = 2 * m
+    deg = degree_sequence(f)
+    n = len(deg)
+    return sum(du * dv / two_m for du, dv in combinations(deg, 2)) / (n * (n - 1) // 2)
 
 
 def powerlaw_exponent(degrees: Sequence[int], k_min: int = 1) -> float:

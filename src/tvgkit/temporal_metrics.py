@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Edge, TimeVaryingGraph, active_nodes, footprint
+from . import windows
+from .core import Edge, TimeVaryingGraph
 from .journeys import KINDS, distance_map, minimal_route_counts
-from .windows import IndicatorSeries, WindowSpec, tvg_sequence, windows_of
+from .windows import IndicatorSeries, WindowSpec
 
 REDUCERS = ("mean", "max", "std")
 
@@ -155,8 +156,7 @@ def _policy_graph(g: TimeVaryingGraph, node_policy: str) -> Optional[TimeVarying
         return g if g.n else None
     if node_policy != "active":
         raise ValueError(f"unknown node policy {node_policy!r}")
-    f = footprint(g, g.lifetime.start, g.lifetime.end)
-    act = sorted(active_nodes(f))
+    act = sorted({x for e, p in zip(g.edges, g.presence) if p for x in (e.u, e.v)})
     if not act:
         return None
     return restrict_nodes(g, act)
@@ -194,14 +194,6 @@ def _window_betweenness(g, t, kind, reducer, node_policy, strict=False) -> float
     return _reduce(temporal_betweenness_all(g2, t, kind, strict), reducer)
 
 
-_WINDOW_INDICATORS = {
-    "eccentricity": _window_eccentricity,
-    "diameter": _window_diameter,
-    "closeness": _window_closeness,
-    "betweenness": _window_betweenness,
-}
-
-
 def temporal_series(
     g: TimeVaryingGraph,
     spec: WindowSpec,
@@ -214,12 +206,7 @@ def temporal_series(
     """Evaluate a temporal indicator on each temporal subgraph of the
     window decomposition, at each window's start time."""
     _check_kind(kind)
-    if indicator not in _WINDOW_INDICATORS:
+    windows._load_registries()
+    if indicator not in windows.TEMPORAL_INDICATORS:
         raise ValueError(f"unknown temporal indicator {indicator!r}")
-    fn = _WINDOW_INDICATORS[indicator]
-    wins = windows_of(g.lifetime, spec)
-    values = []
-    for sub in tvg_sequence(g, spec):
-        v = fn(sub, sub.lifetime.start, kind, reducer, node_policy, strict)
-        values.append(v if math.isfinite(v) else math.nan)
-    return IndicatorSeries(indicator, wins, values)
+    return windows.evolve(g, spec, indicator, node_policy, kind, reducer, strict)

@@ -10,15 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
-from .core import (
-    Footprint,
-    Lifetime,
-    TimeVaryingGraph,
-    footprint,
-    temporal_subgraph,
-)
+from .core import Footprint, Lifetime, TimeVaryingGraph, temporal_subgraph
 
 Window = tuple[int, int]
 
@@ -68,21 +62,64 @@ class IndicatorSeries:
         return iter(zip(self.windows, self.values))
 
 
-def windows_of(lifetime: Lifetime, spec: WindowSpec) -> list[Window]:
-    """Windows covering the lifetime; the tail window is clipped, not dropped."""
+def _first_start(lifetime: Lifetime, spec: WindowSpec) -> int:
+    """Unclipped start of the first window that ends after the lifetime start."""
     align = lifetime.start if spec.align is None else spec.align
     if align > lifetime.start:
         raise ValueError(
             f"align {align} after lifetime start {lifetime.start} would leave a gap"
         )
+    k = max(0, (lifetime.start - spec.length - align) // spec.stride + 1)
+    return align + k * spec.stride
+
+
+def windows_of(lifetime: Lifetime, spec: WindowSpec) -> list[Window]:
+    """Windows covering the lifetime.
+
+    Windows ending at or before the start are skipped; the first and the
+    tail window are clipped to the lifetime, not dropped.
+    """
     out: list[Window] = []
-    s = align
+    s = _first_start(lifetime, spec)
     while s < lifetime.end:
-        out.append((s, min(s + spec.length, lifetime.end)))
+        out.append((max(s, lifetime.start), min(s + spec.length, lifetime.end)))
         if out[-1][1] >= lifetime.end:
             break
         s += spec.stride
     return out
+
+
+def _check_policy(node_policy: str) -> None:
+    if node_policy not in ("all", "active"):
+        raise ValueError(f"unknown node policy {node_policy!r}")
+
+
+def _footprints(
+    g: TimeVaryingGraph, spec: WindowSpec, wins: list[Window], node_policy: str
+) -> Iterator[Footprint]:
+    """The footprint of each of ``wins`` (the windows of ``spec``), in order.
+
+    One sweep over the presence intervals: window j is
+    ``[first + j*stride, first + j*stride + length)`` clipped to the
+    lifetime, so an interval ``[s, t)`` meets exactly the windows j with
+    ``first + j*stride < t`` and ``s < first + j*stride + length``.  Each
+    edge joins a window once, however many of its intervals meet it.
+    """
+    first, stride, length = _first_start(g.lifetime, spec), spec.stride, spec.length
+    last = len(wins) - 1
+    pairs: list[list[tuple[int, int]]] = [[] for _ in wins]
+    for e, p in zip(g.edges, g.presence):
+        uv = (e.u, e.v)
+        lo = 0  # first window this edge has not joined yet
+        for s, t in p.intervals:
+            lo = max(lo, (s - length - first) // stride + 1)
+            hi = min(last, (t - 1 - first) // stride)
+            for j in range(lo, hi + 1):
+                pairs[j].append(uv)
+            lo = max(lo, hi + 1)
+    for win, ps in zip(wins, pairs):
+        nodes = range(g.n) if node_policy == "all" else {x for uv in ps for x in uv}
+        yield Footprint(nodes, g.directed, ps, win)
 
 
 def footprint_sequence(
@@ -90,15 +127,8 @@ def footprint_sequence(
 ) -> list[Footprint]:
     """One footprint per window; under ``active`` the node universe of each
     footprint is restricted to nodes with at least one adjacent edge."""
-    if node_policy not in ("all", "active"):
-        raise ValueError(f"unknown node policy {node_policy!r}")
-    seq = []
-    for a, b in windows_of(g.lifetime, spec):
-        f = footprint(g, a, b)
-        if node_policy == "active":
-            f = f.restrict_to_active()
-        seq.append(f)
-    return seq
+    _check_policy(node_policy)
+    return list(_footprints(g, spec, windows_of(g.lifetime, spec), node_policy))
 
 
 def tvg_sequence(g: TimeVaryingGraph, spec: WindowSpec) -> list[TimeVaryingGraph]:
@@ -143,6 +173,46 @@ def indicator_names() -> list[str]:
     return sorted(STATIC_INDICATORS) + sorted(TEMPORAL_INDICATORS)
 
 
+def evolve_many(
+    g: TimeVaryingGraph,
+    spec: WindowSpec,
+    names: Sequence[str],
+    node_policy: str = "active",
+    kind: str = "shortest",
+    reducer: str = "mean",
+    strict: bool = False,
+) -> list[IndicatorSeries]:
+    """Evaluate several named indicators per window, one series per name.
+
+    The windows are walked once: each window's footprint is built only if
+    a static indicator is requested, its temporal subgraph only if a
+    temporal one is, and every indicator is evaluated on them.  Static
+    indicators run on footprints, temporal ones on temporal subgraphs
+    (evaluated at the window start).  Windows where an indicator is
+    undefined yield NaN.
+    """
+    _load_registries()
+    for name in names:
+        if name not in STATIC_INDICATORS and name not in TEMPORAL_INDICATORS:
+            raise ValueError(f"unknown indicator {name!r}")
+    _check_policy(node_policy)
+    wins = windows_of(g.lifetime, spec)
+    static = any(name in STATIC_INDICATORS for name in names)
+    temporal = any(name in TEMPORAL_INDICATORS for name in names)
+    fps = _footprints(g, spec, wins, node_policy) if static else None
+    values: list[list[float]] = [[] for _ in names]
+    for a, b in wins:
+        f = next(fps) if static else None
+        sub = temporal_subgraph(g, a, b) if temporal else None
+        for name, vals in zip(names, values):
+            if name in STATIC_INDICATORS:
+                vals.append(float(STATIC_INDICATORS[name](f)))
+            else:
+                v = TEMPORAL_INDICATORS[name](sub, a, kind, reducer, node_policy, strict)
+                vals.append(v if math.isfinite(v) else math.nan)
+    return [IndicatorSeries(name, list(wins), vals) for name, vals in zip(names, values)]
+
+
 def evolve(
     g: TimeVaryingGraph,
     spec: WindowSpec,
@@ -152,27 +222,5 @@ def evolve(
     reducer: str = "mean",
     strict: bool = False,
 ) -> IndicatorSeries:
-    """Evaluate one named indicator per window.
-
-    Static indicators run on footprints, temporal ones on temporal
-    subgraphs (evaluated at the window start).  Windows where the
-    indicator is undefined yield NaN.
-    """
-    _load_registries()
-    wins = windows_of(g.lifetime, spec)
-    values: list[float] = []
-    if indicator in STATIC_INDICATORS:
-        fn = STATIC_INDICATORS[indicator]
-        for f in footprint_sequence(g, spec, node_policy):
-            try:
-                values.append(float(fn(f)))
-            except ValueError:
-                values.append(math.nan)
-    elif indicator in TEMPORAL_INDICATORS:
-        fn = TEMPORAL_INDICATORS[indicator]
-        for sub in tvg_sequence(g, spec):
-            v = fn(sub, sub.lifetime.start, kind, reducer, node_policy, strict)
-            values.append(v if math.isfinite(v) else math.nan)
-    else:
-        raise ValueError(f"unknown indicator {indicator!r}")
-    return IndicatorSeries(indicator, wins, values)
+    """Evaluate one named indicator per window (see ``evolve_many``)."""
+    return evolve_many(g, spec, [indicator], node_policy, kind, reducer, strict)[0]

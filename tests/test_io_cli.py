@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +134,37 @@ class TestCli:
     def test_query_unreachable(self, trace_file, capsys):
         assert self.run("query", trace_file, "--from", "b", "--to", "a", "--at", "8") == 0
         assert capsys.readouterr().out.strip() == "unreachable"
+
+    @pytest.mark.parametrize("kind", ["shortest", "foremost", "fastest"])
+    def test_query_prints_distance_from_one_search(self, kind, capsys, monkeypatch):
+        import tvgkit.journeys as jr
+
+        path = str(Path(__file__).parent / "data" / "contacts.csv")
+        res = parse_trace(Path(path).read_text())
+        g = res.graph
+        expected = {
+            (u, v, t): jr.distance_map(g, u, t, kind).get(v)
+            for u in range(g.n)
+            for v in range(g.n)
+            for t in range(g.lifetime.start, g.lifetime.end, 3)
+        }
+        searches = []
+        witness = cli.witness_journey
+
+        def counting_witness(*args):
+            searches.append(args)
+            return witness(*args)
+
+        monkeypatch.setattr(cli, "witness_journey", counting_witness)
+        for (u, v, t), d in expected.items():
+            argv = ["query", path, "--from", res.names[u], "--to", res.names[v],
+                    "--at", str(t), "--kind", kind]
+            assert self.run(*argv) == 0
+            first = capsys.readouterr().out.splitlines()[0]
+            assert first == ("unreachable" if d is None else str(d))
+        # one witness search per query, reachable or not
+        assert len(searches) == len(expected)
+        assert None in expected.values() and 0 in expected.values()
 
     def test_query_unknown_node_is_data_error(self, trace_file, capsys):
         assert self.run("query", trace_file, "--from", "z", "--to", "a", "--at", "0") == 2

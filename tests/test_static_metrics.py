@@ -102,6 +102,20 @@ class TestClustering:
                 c = clustering_coefficient(f, x)
                 assert math.isnan(c) or 0.0 <= c <= 1.0
 
+    def test_matches_neighbour_pair_enumeration(self):
+        # reference: count adjacent pairs among the neighbours one by one
+        rng = random.Random(13)
+        for _ in range(40):
+            f = random_footprint(rng, n_max=14, p=rng.random())
+            if rng.random() < 0.5:
+                f = fp(len(f.nodes), [(v, u) for u, v in f.edges] + list(f.edges), True)
+            for x in f.nodes:
+                nb = f.neighbors(x)
+                k = len(nb)
+                links = sum(1 for u, v in combinations(nb, 2) if v in f.neighbors(u))
+                expected = math.nan if k <= 1 else 2 * links / (k * (k - 1))
+                assert repr(clustering_coefficient(f, x)) == repr(expected)
+
 
 class TestModularity:
     def test_single_edge_pair(self):
@@ -138,6 +152,17 @@ class TestModularity:
             mapping = dict(zip(f.nodes, perm))
             g = fp(len(f.nodes), [(mapping[u], mapping[v]) for u, v in f.edges])
             assert average_modularity(g) == pytest.approx(average_modularity(f))
+
+    def test_equals_mean_of_pair_terms_exactly(self):
+        # the float is the sum of pair_modularity in combinations order
+        rng = random.Random(11)
+        for _ in range(40):
+            f = random_footprint(rng, n_max=30, p=rng.random())
+            if not f.edges:
+                continue
+            pairs = list(combinations(f.nodes, 2))
+            expected = sum(pair_modularity(f, u, v) for u, v in pairs) / len(pairs)
+            assert average_modularity(f) == expected
 
     def test_no_edges_undefined(self):
         assert math.isnan(average_modularity(fp(3, [])))

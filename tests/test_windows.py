@@ -2,12 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tvgkit.core import Lifetime, build_tvg, footprint
+from tvgkit import windows
+from tvgkit.core import Footprint, Lifetime, build_tvg, footprint
 from tvgkit.windows import (
     IndicatorSeries,
     WindowSpec,
     evolve,
+    evolve_many,
     footprint_sequence,
     tvg_sequence,
     windows_of,
@@ -47,6 +50,33 @@ class TestWindowsOf:
             if stride == length:
                 assert sum(b - a for a, b in wins) == life.length
 
+    def test_align_before_start_clips_first_window(self):
+        assert windows_of(Lifetime(0, 10), WindowSpec(4, 4, -2)) == [
+            (0, 2),
+            (2, 6),
+            (6, 10),
+        ]
+        # windows ending at or before the start are skipped
+        assert windows_of(Lifetime(0, 10), WindowSpec(4, 2, -9)) == [
+            (0, 1),
+            (0, 3),
+            (1, 5),
+            (3, 7),
+            (5, 9),
+            (7, 10),
+        ]
+
+    def test_align_before_start_evaluates(self):
+        g = build_tvg(3, False, Lifetime(0, 10), [(0, 1, 0, 2), (1, 2, 5, 9)])
+        spec = WindowSpec(4, 4, -2)
+        wins = [(0, 2), (2, 6), (6, 10)]
+        assert [f.window for f in footprint_sequence(g, spec)] == wins
+        assert [sub.lifetime for sub in tvg_sequence(g, spec)] == [
+            Lifetime(a, b) for a, b in wins
+        ]
+        assert evolve(g, spec, "density", node_policy="all").windows == wins
+        assert evolve(g, spec, "diameter").windows == wins
+
     @pytest.mark.parametrize("length,stride", [(0, None), (-1, None), (3, 0), (3, 5)])
     def test_bad_specs_rejected(self, length, stride):
         with pytest.raises(ValueError):
@@ -78,6 +108,59 @@ class TestFootprintSequence:
         seq = footprint_sequence(g, WindowSpec(5), node_policy="active")
         assert seq[0].nodes == (0, 1)
         assert seq[1].nodes == ()
+
+
+@st.composite
+def graphs_and_specs(draw):
+    """Small TVG (directed or not, optional labelled parallel edges, edges
+    with several intervals) and a window spec (sliding or partition,
+    clipped tail, align at or before the lifetime start)."""
+    n = draw(st.integers(2, 6))
+    directed = draw(st.booleans())
+    start = draw(st.integers(-5, 5))
+    life = Lifetime(start, start + draw(st.integers(1, 30)))
+    # short lifetimes, so interval ends often touch window bounds
+    ticks = st.integers(life.start, life.end)
+    events = []
+    for _ in range(draw(st.integers(0, 10))):
+        u = draw(st.integers(0, n - 1))
+        v = draw(st.integers(0, n - 1).filter(lambda x: x != u))
+        label = draw(st.sampled_from([None, "x", "y"]))
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = sorted(draw(st.lists(ticks, min_size=2, max_size=2, unique=True)))
+            events.append((u, v, a, b) if label is None else (u, v, a, b, label))
+    length = draw(st.integers(1, 12))
+    stride = draw(st.sampled_from([length, draw(st.integers(1, length))]))
+    align = draw(st.one_of(st.none(), st.integers(life.start - 15, life.start)))
+    return build_tvg(n, directed, life, events), WindowSpec(length, stride, align)
+
+
+class TestFootprintSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(case=graphs_and_specs(), node_policy=st.sampled_from(["all", "active"]))
+    def test_matches_footprint_per_window(self, case, node_policy):
+        g, spec = case
+        expected = []
+        for a, b in windows_of(g.lifetime, spec):
+            f = footprint(g, a, b)
+            expected.append(f.restrict_to_active() if node_policy == "active" else f)
+        assert footprint_sequence(g, spec, node_policy) == expected
+
+    def test_edge_with_two_intervals_in_one_window_joins_once(self):
+        g = build_tvg(2, False, Lifetime(0, 10), [(0, 1, 1, 2), (0, 1, 3, 4)])
+        (f,) = footprint_sequence(g, WindowSpec(10), node_policy="all")
+        assert f.edges == {(0, 1)}
+
+    def test_boundary_touching_interval(self):
+        # [0, 5) ends where the second window starts: only the first has it
+        g = build_tvg(2, False, Lifetime(0, 10), [(0, 1, 0, 5)])
+        seq = footprint_sequence(g, WindowSpec(5), node_policy="all")
+        assert [len(f.edges) for f in seq] == [1, 0]
+
+    def test_unknown_policy_rejected(self):
+        g = build_tvg(2, False, Lifetime(0, 4), [(0, 1, 0, 2)])
+        with pytest.raises(ValueError, match="node policy"):
+            footprint_sequence(g, WindowSpec(2), node_policy="some")
 
 
 class TestTvgSequence:
@@ -166,6 +249,80 @@ class TestEvolve:
         assert pair_modularity(seq_all[0], 0, 2) == pair_modularity(seq_act[0], 0, 2)
         # density differs predictably with isolated nodes present
         assert density(seq_act[0]) > density(seq_all[0])
+
+
+class TestEvolveMany:
+    STATIC = ["density", "avg_clustering", "avg_modularity", "powerlaw"]
+
+    def _count_builds(self, monkeypatch):
+        counts = {"footprint": 0, "subgraph": 0}
+        init = Footprint.__init__
+        subgraph = windows.temporal_subgraph
+
+        def counting_init(self, *args, **kwargs):
+            counts["footprint"] += 1
+            init(self, *args, **kwargs)
+
+        def counting_subgraph(*args):
+            counts["subgraph"] += 1
+            return subgraph(*args)
+
+        monkeypatch.setattr(Footprint, "__init__", counting_init)
+        monkeypatch.setattr(windows, "temporal_subgraph", counting_subgraph)
+        return counts
+
+    @pytest.mark.parametrize("node_policy", ["all", "active"])
+    def test_one_footprint_per_window_for_all_static(self, monkeypatch, node_policy):
+        g = random_tvg(random.Random(4))
+        spec = WindowSpec(4, 2)
+        counts = self._count_builds(monkeypatch)
+        series = evolve_many(g, spec, self.STATIC, node_policy)
+        n = len(windows_of(g.lifetime, spec))
+        assert [len(s) for s in series] == [n] * 4
+        assert counts == {"footprint": n, "subgraph": 0}
+
+    @pytest.mark.parametrize("node_policy", ["all", "active"])
+    def test_one_footprint_and_subgraph_per_window_for_a_mix(
+        self, monkeypatch, node_policy
+    ):
+        g = random_tvg(random.Random(6))
+        spec = WindowSpec(5)
+        counts = self._count_builds(monkeypatch)
+        evolve_many(g, spec, ["density", "diameter", "avg_clustering", "closeness"], node_policy)
+        n = len(windows_of(g.lifetime, spec))
+        assert counts == {"footprint": n, "subgraph": n}
+
+    def test_matches_evolve_float_for_float(self):
+        names = windows.indicator_names()
+        rng = random.Random(31)
+        for _ in range(12):
+            g = random_tvg(rng, n_max=6, e_max=9, directed=rng.random() < 0.5)
+            length = rng.randint(3, 8)
+            spec = WindowSpec(length, rng.randint(1, length))
+            for node_policy in ("all", "active"):
+                kind = rng.choice(["shortest", "foremost", "fastest"])
+                many = evolve_many(g, spec, names, node_policy, kind)
+                for name, s in zip(names, many):
+                    one = evolve(g, spec, name, node_policy, kind)
+                    assert s.name == name and s.windows == one.windows
+                    assert [repr(v) for v in s.values] == [repr(v) for v in one.values]
+
+    def test_unknown_name_rejected_before_any_window(self, monkeypatch):
+        g = build_tvg(2, False, Lifetime(0, 4), [(0, 1, 0, 2)])
+        counts = self._count_builds(monkeypatch)
+        with pytest.raises(ValueError, match="unknown indicator 'nope'"):
+            evolve_many(g, WindowSpec(2), ["density", "nope"])
+        assert counts == {"footprint": 0, "subgraph": 0}
+
+    def test_static_value_error_propagates(self, monkeypatch):
+        def broken(f):
+            raise ValueError("indicator bug")
+
+        windows.indicator_names()  # load the registry before patching it
+        monkeypatch.setitem(windows.STATIC_INDICATORS, "density", broken)
+        g = build_tvg(2, False, Lifetime(0, 4), [(0, 1, 0, 2)])
+        with pytest.raises(ValueError, match="indicator bug"):
+            evolve(g, WindowSpec(2), "density")
 
 
 class TestIndicatorSeries:
