@@ -66,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated indicator names (default: density)",
     )
     p.add_argument("--kind", choices=KINDS, default="shortest", help="distance kind for temporal indicators")
-    p.add_argument("--reducer", choices=("mean", "max", "std"), default="mean", help="per-node reducer for temporal indicators")
-    p.add_argument("--node-policy", choices=("all", "active"), default="active")
+    p.add_argument("--reducer", choices=windows.REDUCERS, default="mean", help="per-node reducer for temporal indicators (diameter ignores it)")
+    p.add_argument("--node-policy", choices=windows.NODE_POLICIES, default="active")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--output", default=None, help="output path (default: stdout)")
 

@@ -354,6 +354,18 @@ def temporal_subgraph(g: TimeVaryingGraph, t1: int, t2: int) -> TimeVaryingGraph
     return TimeVaryingGraph(g.n, g.directed, Lifetime(t1, t2), edges, presence_sets)
 
 
+def restrict_nodes(g: TimeVaryingGraph, nodes: Iterable[int]) -> TimeVaryingGraph:
+    """TVG induced on ``nodes`` (relabelled densely, in ascending order)."""
+    index = {x: i for i, x in enumerate(sorted(set(nodes)))}
+    edges = []
+    presence_sets = []
+    for e, p in zip(g.edges, g.presence):
+        if e.u in index and e.v in index:
+            edges.append(Edge(index[e.u], index[e.v], e.label))
+            presence_sets.append(p)
+    return TimeVaryingGraph(len(index), g.directed, g.lifetime, edges, presence_sets)
+
+
 def active_nodes(f: Footprint) -> set[int]:
     """Nodes of the footprint with at least one adjacent edge."""
     out: set[int] = set()

@@ -23,9 +23,19 @@ KINDS = ("shortest", "foremost", "fastest")
 Step = tuple[int, int]  # (edge index, crossing time)
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown distance kind {kind!r}")
+
+
 def _check_time(g: TimeVaryingGraph, t: int) -> None:
     if t not in g.lifetime:
         raise ValueError(f"t={t} outside lifetime [{g.lifetime.start},{g.lifetime.end})")
+
+
+def _check_node(g: TimeVaryingGraph, u: int) -> None:
+    if not 0 <= u < g.n:
+        raise ValueError(f"node {u} outside [0,{g.n})")
 
 
 def is_journey(g: TimeVaryingGraph, steps: Iterable[Step], strict: bool = False) -> bool:
@@ -100,6 +110,7 @@ def foremost_distance(
 ) -> dict[int, int]:
     """Minimal arrival delay after ``t`` per reachable node (unreachable absent)."""
     _check_time(g, t)
+    _check_node(g, u)
     arrival, _ = _earliest_arrival(g, u, t, strict)
     return {v: a - t for v, a in arrival.items()}
 
@@ -141,6 +152,7 @@ def shortest_distance(
 ) -> dict[int, int]:
     """Minimal hop count per reachable node over journeys departing >= ``t``."""
     _check_time(g, t)
+    _check_node(g, u)
     return _layered_states(g, u, t, strict)[0]
 
 
@@ -197,6 +209,7 @@ def fastest_distance(
     go to the earliest departure.
     """
     _check_time(g, t)
+    _check_node(g, u)
     return _fastest_sweep(g, u, _departure_candidates(g, t, strict), strict)[0]
 
 
@@ -205,6 +218,8 @@ def temporal_view(
 ) -> Optional[int]:
     """Latest departure at ``u`` of a journey to ``v`` arriving by ``t``, or None."""
     _check_time(g, t)
+    _check_node(g, u)
+    _check_node(g, v)
     if u == v:
         return t
     # latest[x]: max departure over journeys x -> v with arrival <= t
@@ -250,8 +265,9 @@ def witness_journey(
     latest-first sweep of ``fastest_distance``.
     """
     _check_time(g, t)
-    if kind not in KINDS:
-        raise ValueError(f"unknown distance kind {kind!r}")
+    _check_kind(kind)
+    _check_node(g, u)
+    _check_node(g, v)
     if u == v:
         return []
     if kind == "foremost":
@@ -268,13 +284,12 @@ def distance_map(
     g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool = False
 ) -> dict[int, int]:
     """Dispatch to the ``kind`` distance from ``u`` at ``t``."""
+    _check_kind(kind)
     if kind == "shortest":
         return shortest_distance(g, u, t, strict)
     if kind == "foremost":
         return foremost_distance(g, u, t, strict)
-    if kind == "fastest":
-        return fastest_distance(g, u, t, strict)
-    raise ValueError(f"unknown distance kind {kind!r}")
+    return fastest_distance(g, u, t, strict)
 
 
 def _fastest_step(pairs: tuple, p, strict: bool, limit: int) -> tuple:
@@ -328,8 +343,8 @@ def minimal_route_counts(
     than the largest fastest distance.
     """
     _check_time(g, t)
-    if kind not in KINDS:
-        raise ValueError(f"unknown distance kind {kind!r}")
+    _check_kind(kind)
+    _check_node(g, u)
     n = g.n
     if kind == "fastest":
         cands = _departure_candidates(g, t, strict)
@@ -404,6 +419,7 @@ def count_minimal_journeys(
     g: TimeVaryingGraph, u: int, v: int, t: int, kind: str, strict: bool = False
 ) -> Optional[tuple[int, int]]:
     """Distance and number of minimal routes from u to v at t, or None."""
+    _check_node(g, v)
     res = minimal_route_counts(g, u, t, kind, strict)
     if v not in res:
         return None

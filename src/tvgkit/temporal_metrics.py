@@ -10,19 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import windows
-from .core import Edge, TimeVaryingGraph
-from .journeys import KINDS, distance_map, minimal_route_counts
+from .core import TimeVaryingGraph
+from .journeys import KINDS, _check_kind, _check_node, distance_map, minimal_route_counts
 from .windows import IndicatorSeries, WindowSpec
-
-REDUCERS = ("mean", "max", "std")
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in KINDS:
-        raise ValueError(f"unknown distance kind {kind!r}")
 
 
 def _eccentricity_of(d: dict[int, int], n: int, u: int) -> float:
@@ -37,7 +29,6 @@ def eccentricity(
     g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool = False
 ) -> float:
     """Max ``kind`` distance from ``u`` to every other node; inf if any is unreachable."""
-    _check_kind(kind)
     return _eccentricity_of(distance_map(g, u, t, kind, strict), g.n, u)
 
 
@@ -107,6 +98,7 @@ def temporal_betweenness(
     g: TimeVaryingGraph, q: int, t: int, kind: str, strict: bool = False
 ) -> float:
     """Temporal betweenness of ``q``: entry q of ``temporal_betweenness_all``."""
+    _check_node(g, q)
     return temporal_betweenness_all(g, t, kind, strict)[q]
 
 
@@ -114,7 +106,6 @@ def temporal_closeness(
     g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool = False
 ) -> float:
     """Mean ``kind`` distance from ``u`` to its reachable nodes; NaN if none."""
-    _check_kind(kind)
     d = distance_map(g, u, t, kind, strict)
     others = [v for v in d if v != u]
     if not others:
@@ -123,8 +114,6 @@ def temporal_closeness(
 
 
 def _reduce(values: list[float], reducer: str) -> float:
-    if reducer not in REDUCERS:
-        raise ValueError(f"unknown reducer {reducer!r}")
     finite = [v for v in values if not math.isnan(v)]
     if not finite:
         return math.nan
@@ -138,60 +127,28 @@ def _reduce(values: list[float], reducer: str) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in finite) / len(finite))
 
 
-def restrict_nodes(g: TimeVaryingGraph, nodes: list[int]) -> TimeVaryingGraph:
-    """TVG induced on ``nodes`` (relabelled densely, in ascending order)."""
-    index = {x: i for i, x in enumerate(sorted(set(nodes)))}
-    edges = []
-    presence = []
-    for e, p in zip(g.edges, g.presence):
-        if e.u in index and e.v in index:
-            edges.append(Edge(index[e.u], index[e.v], e.label))
-            presence.append(p)
-    return TimeVaryingGraph(len(index), g.directed, g.lifetime, edges, presence)
-
-
-def _policy_graph(g: TimeVaryingGraph, node_policy: str) -> Optional[TimeVaryingGraph]:
-    """Graph whose node set matches the policy, or None when it is empty."""
-    if node_policy == "all":
-        return g if g.n else None
-    if node_policy != "active":
-        raise ValueError(f"unknown node policy {node_policy!r}")
-    act = sorted({x for e, p in zip(g.edges, g.presence) if p for x in (e.u, e.v)})
-    if not act:
-        return None
-    return restrict_nodes(g, act)
-
-
-def _window_eccentricity(g, t, kind, reducer, node_policy, strict=False) -> float:
-    g2 = _policy_graph(g, node_policy)
-    if g2 is None:
-        return math.nan
+# Window evaluators of ``windows.evolve_many``, which checks their arguments:
+# ``g`` is a window's temporal subgraph with at least one node, ``t`` its start.
+def _window_eccentricity(g, t, kind, reducer, strict) -> float:
     return _reduce(
-        [eccentricity(g2, u, t, kind, strict) for u in range(g2.n)], reducer
+        [eccentricity(g, u, t, kind, strict) for u in range(g.n)], reducer
     )
 
 
-def _window_diameter(g, t, kind, reducer, node_policy, strict=False) -> float:
-    g2 = _policy_graph(g, node_policy)
-    if g2 is None or not g2.edges:
+def _window_diameter(g, t, kind, reducer, strict) -> float:
+    if not g.edges:
         return math.nan
-    return diameter(g2, t, kind, strict)
+    return diameter(g, t, kind, strict)
 
 
-def _window_closeness(g, t, kind, reducer, node_policy, strict=False) -> float:
-    g2 = _policy_graph(g, node_policy)
-    if g2 is None:
-        return math.nan
+def _window_closeness(g, t, kind, reducer, strict) -> float:
     return _reduce(
-        [temporal_closeness(g2, u, t, kind, strict) for u in range(g2.n)], reducer
+        [temporal_closeness(g, u, t, kind, strict) for u in range(g.n)], reducer
     )
 
 
-def _window_betweenness(g, t, kind, reducer, node_policy, strict=False) -> float:
-    g2 = _policy_graph(g, node_policy)
-    if g2 is None:
-        return math.nan
-    return _reduce(temporal_betweenness_all(g2, t, kind, strict), reducer)
+def _window_betweenness(g, t, kind, reducer, strict) -> float:
+    return _reduce(temporal_betweenness_all(g, t, kind, strict), reducer)
 
 
 def temporal_series(
@@ -205,7 +162,6 @@ def temporal_series(
 ) -> IndicatorSeries:
     """Evaluate a temporal indicator on each temporal subgraph of the
     window decomposition, at each window's start time."""
-    _check_kind(kind)
     windows._load_registries()
     if indicator not in windows.TEMPORAL_INDICATORS:
         raise ValueError(f"unknown temporal indicator {indicator!r}")

@@ -12,9 +12,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
-from .core import Footprint, Lifetime, TimeVaryingGraph, temporal_subgraph
+from .core import Footprint, Lifetime, TimeVaryingGraph, restrict_nodes, temporal_subgraph
+from .journeys import _check_kind
 
 Window = tuple[int, int]
+#: node universe of each window: every node, or those with an edge in it
+NODE_POLICIES = ("all", "active")
+#: per-node reductions of the temporal indicators (diameter ignores them)
+REDUCERS = ("mean", "max", "std")
 
 
 @dataclass(frozen=True)
@@ -90,7 +95,7 @@ def windows_of(lifetime: Lifetime, spec: WindowSpec) -> list[Window]:
 
 
 def _check_policy(node_policy: str) -> None:
-    if node_policy not in ("all", "active"):
+    if node_policy not in NODE_POLICIES:
         raise ValueError(f"unknown node policy {node_policy!r}")
 
 
@@ -138,7 +143,7 @@ def tvg_sequence(g: TimeVaryingGraph, spec: WindowSpec) -> list[TimeVaryingGraph
 
 #: static indicator name -> callable(Footprint) -> float
 STATIC_INDICATORS = {}
-#: temporal indicator name -> callable(tvg, t, kind, reducer, node_policy) -> float
+#: temporal indicator name -> callable(tvg, t, kind, reducer, strict) -> float
 TEMPORAL_INDICATORS = {}
 
 
@@ -184,18 +189,21 @@ def evolve_many(
 ) -> list[IndicatorSeries]:
     """Evaluate several named indicators per window, one series per name.
 
-    The windows are walked once: each window's footprint is built only if
-    a static indicator is requested, its temporal subgraph only if a
-    temporal one is, and every indicator is evaluated on them.  Static
-    indicators run on footprints, temporal ones on temporal subgraphs
-    (evaluated at the window start).  Windows where an indicator is
-    undefined yield NaN.
+    Every argument is checked before any window is built.  The windows are
+    walked once: each window's footprint is built only if a static
+    indicator is requested, its temporal subgraph, restricted once to the
+    node policy's nodes, only if a temporal one is.  Static indicators run
+    on footprints, temporal ones on the subgraph at the window start.
+    Windows where an indicator is undefined or that have no node yield NaN.
     """
     _load_registries()
     for name in names:
         if name not in STATIC_INDICATORS and name not in TEMPORAL_INDICATORS:
             raise ValueError(f"unknown indicator {name!r}")
     _check_policy(node_policy)
+    _check_kind(kind)
+    if reducer not in REDUCERS:
+        raise ValueError(f"unknown reducer {reducer!r}")
     wins = windows_of(g.lifetime, spec)
     static = any(name in STATIC_INDICATORS for name in names)
     temporal = any(name in TEMPORAL_INDICATORS for name in names)
@@ -203,12 +211,17 @@ def evolve_many(
     values: list[list[float]] = [[] for _ in names]
     for a, b in wins:
         f = next(fps) if static else None
-        sub = temporal_subgraph(g, a, b) if temporal else None
+        if temporal:
+            sub = temporal_subgraph(g, a, b)
+            if node_policy == "active":
+                sub = restrict_nodes(sub, {x for e in sub.edges for x in (e.u, e.v)})
         for name, vals in zip(names, values):
             if name in STATIC_INDICATORS:
                 vals.append(float(STATIC_INDICATORS[name](f)))
+            elif not sub.n:
+                vals.append(math.nan)
             else:
-                v = TEMPORAL_INDICATORS[name](sub, a, kind, reducer, node_policy, strict)
+                v = TEMPORAL_INDICATORS[name](sub, a, kind, reducer, strict)
                 vals.append(v if math.isfinite(v) else math.nan)
     return [IndicatorSeries(name, list(wins), vals) for name, vals in zip(names, values)]
 

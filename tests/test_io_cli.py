@@ -1,5 +1,8 @@
 import json
 import random
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -235,3 +238,35 @@ class TestCli:
 
         monkeypatch.setitem(cli._COMMANDS, "footprint", boom)
         assert self.run("footprint", trace_file) == 3
+
+
+class TestBenchmarkHooks:
+    def test_tracer_sees_registry_and_module_global_calls(self):
+        """perfbench's tracer patches the indicator registries and module
+        globals once tvgkit is imported; a registry filled at import or a
+        call that bypasses a module global would hide work from it."""
+        root = Path(__file__).resolve().parent.parent
+        script = textwrap.dedent(
+            """
+            import contextlib, io, json, sys
+            sys.path[:0] = ["perfbench", "src"]
+            import tvgkit.cli
+            from tracer import Tracer
+
+            tracer = Tracer()
+            tracer.install()
+            argv = ["evolve", "tests/data/contacts.csv", "--window", "4",
+                    "--indicators", "density,closeness"]
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = tvgkit.cli.main(argv)
+            print(json.dumps({"rc": rc, "calls": tracer.calls}))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["rc"] == 0
+        for span in ("density", "temporal_subgraph", "temporal_closeness"):
+            assert result["calls"].get(span, 0) > 0, span

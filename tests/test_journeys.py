@@ -17,6 +17,7 @@ from tvgkit.journeys import (
     temporal_view,
     witness_journey,
 )
+from tvgkit.temporal_metrics import temporal_betweenness
 
 from oracles import (
     greedy_crossings,
@@ -444,3 +445,27 @@ class TestFootprintSeparation:
             src = rng.randrange(g.n)
             for v in foremost_distance(g, src, g.lifetime.start):
                 assert nx.has_path(G, src, v)
+
+
+#: every journey entry point that takes a node id, called with ``x`` in that place
+NODE_ARGS = {
+    "foremost_distance": lambda g, x: foremost_distance(g, x, 0),
+    "shortest_distance": lambda g, x: shortest_distance(g, x, 0),
+    "fastest_distance": lambda g, x: fastest_distance(g, x, 0),
+    "witness_journey_u": lambda g, x: witness_journey(g, x, 0, 0, "foremost"),
+    "witness_journey_v": lambda g, x: witness_journey(g, 0, x, 0, "foremost"),
+    "temporal_view_u": lambda g, x: temporal_view(g, x, 0, 5),
+    "temporal_view_v": lambda g, x: temporal_view(g, 0, x, 5),
+    "minimal_route_counts": lambda g, x: minimal_route_counts(g, x, 0, "shortest"),
+    "count_minimal_journeys_u": lambda g, x: count_minimal_journeys(g, x, 0, 0, "shortest"),
+    "count_minimal_journeys_v": lambda g, x: count_minimal_journeys(g, 0, x, 0, "shortest"),
+    "temporal_betweenness": lambda g, x: temporal_betweenness(g, x, 0, "shortest"),
+}
+
+
+@pytest.mark.parametrize("x", [-1, 3], ids=["-1", "n"])
+@pytest.mark.parametrize("entry", list(NODE_ARGS))
+def test_out_of_range_node_rejected(entry, x):
+    g = tvg([(0, 1, 0, 5), (1, 2, 0, 5)])  # n = 3
+    with pytest.raises(ValueError, match=rf"node {x} outside \[0,3\)"):
+        NODE_ARGS[entry](g, x)

@@ -4,13 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvgkit.core import Lifetime, active_nodes, build_tvg, footprint
+from tvgkit.core import Lifetime, active_nodes, build_tvg, footprint, restrict_nodes
 from tvgkit.journeys import distance_map, minimal_route_counts
 from tvgkit.temporal_metrics import (
     diameter,
     eccentricity,
     eccentricity_report,
-    restrict_nodes,
     temporal_betweenness,
     temporal_betweenness_all,
     temporal_closeness,
@@ -260,6 +259,12 @@ class TestTemporalSeries:
         s = temporal_series(g, WindowSpec(4), "diameter", node_policy="active")
         assert s.values == [2.0, 1.0]
 
+    def test_window_without_edges_has_no_diameter(self):
+        g = build_tvg(1, False, Lifetime(0, 4), [])
+        d = temporal_series(g, WindowSpec(4), "diameter", node_policy="all")
+        e = temporal_series(g, WindowSpec(4), "eccentricity", node_policy="all")
+        assert math.isnan(d.values[0]) and e.values == [0.0]
+
     def test_reducers(self):
         g = always([(0, 1), (1, 2)], 3, end=4)
         mean = temporal_series(g, WindowSpec(4), "eccentricity", reducer="mean")
@@ -268,6 +273,8 @@ class TestTemporalSeries:
         assert mx.values[0] == 2.0
         with pytest.raises(ValueError, match="reducer"):
             temporal_series(g, WindowSpec(4), "eccentricity", reducer="median")
+        with pytest.raises(ValueError, match="reducer"):
+            temporal_series(g, WindowSpec(4), "diameter", reducer="median")
 
     def test_unknown_indicator_and_kind(self):
         g = always([(0, 1)], 2, end=4)

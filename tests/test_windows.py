@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvgkit import windows
-from tvgkit.core import Footprint, Lifetime, build_tvg, footprint
+from tvgkit.core import Footprint, Lifetime, TimeVaryingGraph, build_tvg, footprint
 from tvgkit.windows import (
     IndicatorSeries,
     WindowSpec,
@@ -312,7 +312,34 @@ class TestEvolveMany:
         counts = self._count_builds(monkeypatch)
         with pytest.raises(ValueError, match="unknown indicator 'nope'"):
             evolve_many(g, WindowSpec(2), ["density", "nope"])
+        for bad, message in (
+            ({"kind": "slowest"}, "unknown distance kind 'slowest'"),
+            ({"reducer": "median"}, "unknown reducer 'median'"),
+            ({"node_policy": "some"}, "unknown node policy 'some'"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                evolve_many(g, WindowSpec(2), ["density", "closeness"], **bad)
         assert counts == {"footprint": 0, "subgraph": 0}
+
+    @pytest.mark.parametrize("node_policy, per_window", [("all", 1), ("active", 2)])
+    def test_one_policy_graph_per_window_for_all_temporal(
+        self, monkeypatch, node_policy, per_window
+    ):
+        # the subgraph, plus its restriction to the active nodes; never one
+        # per indicator
+        built = 0
+        init = TimeVaryingGraph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            nonlocal built
+            built += 1
+            init(self, *args, **kwargs)
+
+        g = random_tvg(random.Random(6))
+        spec = WindowSpec(5)
+        monkeypatch.setattr(TimeVaryingGraph, "__init__", counting_init)
+        evolve_many(g, spec, ["closeness", "diameter", "betweenness"], node_policy)
+        assert built == per_window * len(windows_of(g.lifetime, spec))
 
     def test_static_value_error_propagates(self, monkeypatch):
         def broken(f):
