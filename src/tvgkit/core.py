@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import chain, starmap
+from operator import eq
 from typing import Iterable, Optional, Sequence
 
 
@@ -210,9 +212,19 @@ class Footprint:
             self.edges = frozenset(
                 (u, v) if u < v else (v, u) for u, v in edges
             )
+        stray = set(chain.from_iterable(self.edges)).difference(self.nodes)
+        if stray:
+            e = min(e for e in self.edges if not stray.isdisjoint(e))
+            raise ValueError(f"edge {e} has an endpoint outside the node universe")
+        if any(starmap(eq, self.edges)):
+            e = min(e for e in self.edges if e[0] == e[1])
+            raise ValueError(f"self-loop {e} rejected")
         self.window = window
+        self._undirected: Optional[frozenset[tuple[int, int]]] = None
+        self._pairs: Optional[list[tuple[int, int]]] = None
+        self._bits: Optional[list[int]] = None
+        self._links: Optional[list[int]] = None
         self._degree: Optional[dict[int, int]] = None
-        self._neighbors: Optional[dict[int, set[int]]] = None
 
     @property
     def num_nodes(self) -> int:
@@ -227,33 +239,56 @@ class Footprint:
         """Underlying simple undirected edge set."""
         if not self.directed:
             return self.edges
-        return frozenset((u, v) if u < v else (v, u) for u, v in self.edges)
+        if self._undirected is None:
+            self._undirected = frozenset(
+                (u, v) if u < v else (v, u) for u, v in self.edges
+            )
+        return self._undirected
+
+    def adjacency(self) -> list[int]:
+        """Per node position in ``nodes``: bitmask of its neighbours' positions
+        in the undirected view."""
+        if self._bits is None:
+            index = {x: i for i, x in enumerate(self.nodes)}
+            self._pairs = [(index[u], index[v]) for u, v in self.undirected_edges()]
+            bits = [0] * len(self.nodes)
+            for i, j in self._pairs:
+                bits[i] |= 1 << j
+                bits[j] |= 1 << i
+            self._bits = bits
+        return self._bits
+
+    def neighbour_links(self) -> list[int]:
+        """Per node position in ``nodes``: adjacent pairs among its neighbours.
+
+        Each undirected edge is visited once: the neighbours its ends share
+        close a triangle at both ends, and every triangle at a node is seen
+        from both of its edges there.
+        """
+        if self._links is None:
+            bits = self.adjacency()
+            seen = [0] * len(bits)
+            for i, j in self._pairs:
+                c = (bits[i] & bits[j]).bit_count()
+                seen[i] += c
+                seen[j] += c
+            self._links = [c // 2 for c in seen]
+        return self._links
 
     def degree(self, x: int) -> int:
         return self.degrees().get(x, 0)
 
     def degrees(self) -> dict[int, int]:
-        """Undirected-view degree per node of the universe (in+out summed when directed)."""
+        """Degree per node of the universe in the undirected view."""
         if self._degree is None:
-            d = {x: 0 for x in self.nodes}
-            for u, v in self.undirected_edges():
-                if u in d:
-                    d[u] += 1
-                if v in d:
-                    d[v] += 1
-            self._degree = d
+            self._degree = {
+                x: b.bit_count() for x, b in zip(self.nodes, self.adjacency())
+            }
         return self._degree
 
     def neighbors(self, x: int) -> set[int]:
-        if self._neighbors is None:
-            nb: dict[int, set[int]] = {y: set() for y in self.nodes}
-            for u, v in self.undirected_edges():
-                if u in nb:
-                    nb[u].add(v)
-                if v in nb:
-                    nb[v].add(u)
-            self._neighbors = nb
-        return self._neighbors[x]
+        b = self.adjacency()[self.nodes.index(x)]
+        return {y for i, y in enumerate(self.nodes) if b >> i & 1}
 
     def restrict_to_active(self) -> "Footprint":
         """Footprint whose node universe is its active-node set."""

@@ -7,6 +7,12 @@ Conventions worth knowing:
   undirected graph has density exactly 1.0.
 * On directed footprints, clustering, modularity and conductance operate
   on the underlying undirected simple graph; density respects direction.
+* Clustering reads the footprint's neighbour bitmasks and visits each
+  undirected edge once: the neighbours its two ends share are counted for
+  both ends (``Footprint.neighbour_links``).
+* ``average_modularity`` adds the pair terms left to right in
+  ``itertools.combinations`` order, so its float does not depend on the
+  interpreter (``sum()`` of floats is compensated from Python 3.12 on).
 * Values undefined on a given footprint come back as NaN, never an error,
   except where a size limit is deliberately enforced (``graph_conductance``).
 """
@@ -16,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,7 +37,7 @@ class LimitExceededError(ValueError):
 
 
 def degree_sequence(f: Footprint) -> list[int]:
-    """Per-node degrees of the footprint universe (in+out summed when directed)."""
+    """Per-node degrees of the footprint universe in the undirected view, in ``nodes`` order."""
     d = f.degrees()
     return [d[x] for x in f.nodes]
 
@@ -48,12 +53,13 @@ def density(f: Footprint) -> float:
 
 def clustering_coefficient(f: Footprint, x: int) -> float:
     """Fraction of ordered neighbour pairs of ``x`` that are adjacent; NaN for deg <= 1."""
-    nb = f.neighbors(x)
-    k = len(nb)
+    i = f.nodes.index(x)
+    return _clustering(f.adjacency()[i].bit_count(), f.neighbour_links()[i])
+
+
+def _clustering(k: int, links: int) -> float:
     if k <= 1:
         return math.nan
-    # each adjacent neighbour pair is seen from both of its ends
-    links = sum(len(nb & f.neighbors(u)) for u in nb) // 2
     return 2 * links / (k * (k - 1))
 
 
@@ -62,8 +68,8 @@ def average_clustering(f: Footprint) -> float:
     if f.num_nodes == 0:
         return math.nan
     total = 0.0
-    for x in f.nodes:
-        c = clustering_coefficient(f, x)
+    for b, links in zip(f.adjacency(), f.neighbour_links()):
+        c = _clustering(b.bit_count(), links)
         if not math.isnan(c):
             total += c
     return total / f.num_nodes
@@ -80,13 +86,14 @@ def pair_modularity(f: Footprint, u: int, v: int) -> float:
 def average_modularity(f: Footprint) -> float:
     """Mean pair modularity over unordered node pairs."""
     m = len(f.undirected_edges())
-    if f.num_nodes < 2 or m == 0:
+    n = f.num_nodes
+    if n < 2 or m == 0:
         return math.nan
-    # the terms of pair_modularity, summed in the same pair order
-    two_m = 2 * m
-    deg = degree_sequence(f)
-    n = len(deg)
-    return sum(du * dv / two_m for du, dv in combinations(deg, 2)) / (n * (n - 1) // 2)
+    # the terms of pair_modularity in combinations order, summed left to right
+    d = np.array(degree_sequence(f))
+    i, j = np.triu_indices(n, 1)
+    total = np.add.accumulate(d[i] * d[j] / (2 * m))[-1]
+    return float(total) / (n * (n - 1) // 2)
 
 
 def powerlaw_exponent(degrees: Sequence[int], k_min: int = 1) -> float:
@@ -162,17 +169,9 @@ def graph_conductance(
 
 
 def _exhaustive_conductance(f: Footprint) -> float:
-    nodes = f.nodes
-    n = len(nodes)
-    index = {x: i for i, x in enumerate(nodes)}
-    adj = [0] * n
-    deg = [0] * n
-    for u, v in f.undirected_edges():
-        iu, iv = index[u], index[v]
-        adj[iu] |= 1 << iv
-        adj[iv] |= 1 << iu
-        deg[iu] += 1
-        deg[iv] += 1
+    n = f.num_nodes
+    adj = f.adjacency()
+    deg = [b.bit_count() for b in adj]
     vol_total = sum(deg)
     best = math.nan
     full = (1 << n) - 1
@@ -184,7 +183,7 @@ def _exhaustive_conductance(f: Footprint) -> float:
         m = mask
         while m:
             i = (m & -m).bit_length() - 1
-            crossing += bin(adj[i] & comp).count("1")
+            crossing += (adj[i] & comp).bit_count()
             vol_s += deg[i]
             m &= m - 1
         denom = min(vol_s, vol_total - vol_s)

@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 from . import windows
 from .core import TimeVaryingGraph
-from .journeys import KINDS, _check_kind, _check_node, distance_map, minimal_route_counts
+from .journeys import (
+    KINDS,
+    _check_kind,
+    _check_node,
+    _check_time,
+    distance_map,
+    minimal_route_counts,
+)
 from .windows import IndicatorSeries, WindowSpec
 
 
@@ -81,8 +88,7 @@ def temporal_betweenness_all(
     per source serves every q.
     """
     _check_kind(kind)
-    if t not in g.lifetime:
-        raise ValueError(f"t={t} outside lifetime")
+    _check_time(g, t)
     total = [0.0] * g.n
     for u in range(g.n):
         for v, (_, c, through) in minimal_route_counts(g, u, t, kind, strict).items():

@@ -208,6 +208,46 @@ def oracle_min_conductance(footprint):
     return best
 
 
+def _simple_undirected(footprint):
+    """Undirected simple edge set of a footprint, canonicalized here."""
+    return {(min(u, v), max(u, v)) for u, v in footprint.edges}
+
+
+def oracle_clustering(footprint):
+    """Per node: adjacent neighbour pairs over all neighbour pairs, by
+    enumerating the pairs; NaN for degree <= 1."""
+    edges = _simple_undirected(footprint)
+    nb = {x: set() for x in footprint.nodes}
+    for u, v in edges:
+        nb[u].add(v)
+        nb[v].add(u)
+    out = {}
+    for x in footprint.nodes:
+        k = len(nb[x])
+        links = sum(1 for a, b in combinations(sorted(nb[x]), 2) if (a, b) in edges)
+        out[x] = math.nan if k <= 1 else 2 * links / (k * (k - 1))
+    return out
+
+
+def oracle_modularity(footprint):
+    """Mean of deg(u)*deg(v)/2|E| over unordered node pairs, added one term
+    at a time in ``combinations`` order; NaN below two nodes or without edges."""
+    edges = _simple_undirected(footprint)
+    nodes = footprint.nodes
+    if len(nodes) < 2 or not edges:
+        return math.nan
+    deg = {x: 0 for x in nodes}
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    total = 0.0
+    pairs = 0
+    for u, v in combinations(nodes, 2):
+        total += deg[u] * deg[v] / (2 * len(edges))
+        pairs += 1
+    return total / pairs
+
+
 def random_tvg(
     rng: random.Random,
     n_max: int = 7,

@@ -217,3 +217,18 @@ def test_9_cli_golden_witnesses(kind, capsys):
     assert code == 0
     got = capsys.readouterr().out
     assert got.encode() == (DATA / f"query_{kind}_golden.txt").read_bytes()
+
+
+def test_10_cli_golden_static_indicators(tmp_path):
+    """evolve with every atemporal indicator on a denser generated trace
+    reproduces the checked-in CSV byte for byte."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text(generate_trace("uniform-random", seed=3, nodes=80, ticks=120, p=0.02))
+    out = tmp_path / "evolve.csv"
+    code = cli.main(
+        ["evolve", str(trace), "--window", "20", "--stride", "5",
+         "--indicators", "density,avg_clustering,avg_modularity,powerlaw",
+         "--output", str(out)]
+    )
+    assert code == 0
+    assert out.read_bytes() == (DATA / "evolve_static_golden.csv").read_bytes()

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tvgkit.core import (
+    Footprint,
     Lifetime,
     PresenceSet,
     active_nodes,
@@ -147,6 +148,27 @@ class TestFootprint:
         g = simple_tvg([(0, 1, 0, 2)])
         with pytest.raises(ValueError):
             footprint(g, 5, 3)
+
+    def test_endpoint_outside_universe_rejected(self):
+        with pytest.raises(ValueError, match=r"^edge \(0, 2\) has an endpoint outside"):
+            Footprint([0, 1], False, [(0, 1), (1, 2), (0, 2)], (0, 1))
+        with pytest.raises(ValueError, match=r"^edge \(5, 1\) has an endpoint outside"):
+            Footprint([1, 2], True, [(1, 2), (5, 1)], (0, 1))
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError, match=r"self-loop \(1, 1\)"):
+            Footprint(range(3), False, [(0, 1), (1, 1)], (0, 1))
+
+    def test_directed_undirected_view_built_once(self):
+        f = Footprint(range(3), True, [(0, 1), (1, 0), (2, 1)], (0, 1))
+        assert f.undirected_edges() == {(0, 1), (1, 2)}
+        assert f.undirected_edges() is f.undirected_edges()
+
+    def test_adjacency_bitmasks_index_universe_positions(self):
+        f = Footprint([10, 20, 30, 40], True, [(20, 10), (10, 20), (40, 20)], (0, 1))
+        assert f.adjacency() == [0b0010, 0b1001, 0b0000, 0b0010]
+        assert f.degrees() == {10: 1, 20: 2, 30: 0, 40: 1}
+        assert f.neighbors(20) == {10, 40}
 
 
 class TestTemporalSubgraph:

@@ -19,7 +19,7 @@ from tvgkit.static_metrics import (
     powerlaw_exponent,
 )
 
-from oracles import oracle_min_conductance
+from oracles import oracle_clustering, oracle_min_conductance, oracle_modularity
 
 
 def fp(n, edges, directed=False):
@@ -102,20 +102,6 @@ class TestClustering:
                 c = clustering_coefficient(f, x)
                 assert math.isnan(c) or 0.0 <= c <= 1.0
 
-    def test_matches_neighbour_pair_enumeration(self):
-        # reference: count adjacent pairs among the neighbours one by one
-        rng = random.Random(13)
-        for _ in range(40):
-            f = random_footprint(rng, n_max=14, p=rng.random())
-            if rng.random() < 0.5:
-                f = fp(len(f.nodes), [(v, u) for u, v in f.edges] + list(f.edges), True)
-            for x in f.nodes:
-                nb = f.neighbors(x)
-                k = len(nb)
-                links = sum(1 for u, v in combinations(nb, 2) if v in f.neighbors(u))
-                expected = math.nan if k <= 1 else 2 * links / (k * (k - 1))
-                assert repr(clustering_coefficient(f, x)) == repr(expected)
-
 
 class TestModularity:
     def test_single_edge_pair(self):
@@ -154,18 +140,72 @@ class TestModularity:
             assert average_modularity(g) == pytest.approx(average_modularity(f))
 
     def test_equals_mean_of_pair_terms_exactly(self):
-        # the float is the sum of pair_modularity in combinations order
+        # the float is the plain left-to-right sum of pair_modularity in
+        # combinations order, whatever the interpreter's sum() does
         rng = random.Random(11)
         for _ in range(40):
             f = random_footprint(rng, n_max=30, p=rng.random())
             if not f.edges:
                 continue
             pairs = list(combinations(f.nodes, 2))
-            expected = sum(pair_modularity(f, u, v) for u, v in pairs) / len(pairs)
-            assert average_modularity(f) == expected
+            total = 0.0
+            for u, v in pairs:
+                total += pair_modularity(f, u, v)
+            assert average_modularity(f) == total / len(pairs)
 
     def test_no_edges_undefined(self):
         assert math.isnan(average_modularity(fp(3, [])))
+
+
+def oracle_footprint(rng):
+    """Seeded footprint for the differential tests: directed or not, up to
+    about 80 nodes (bitmasks wider than 64 bits), ids that are not positions,
+    isolated nodes, and sometimes a universe restricted to active nodes."""
+    n = rng.randint(0, 82)
+    universe = sorted(rng.sample(range(3 * n + 1), n))
+    p = rng.choice([0.0, 0.02, 0.1, 0.3, rng.random()])
+    directed = rng.random() < 0.5
+    edges = [
+        (u, v) if rng.random() < 0.5 else (v, u)
+        for u, v in combinations(universe, 2)
+        if rng.random() < p
+    ]
+    if directed:
+        edges += [(v, u) for u, v in edges if rng.random() < 0.3]
+    f = Footprint(universe, directed, edges, (0, 1))
+    return f.restrict_to_active() if rng.random() < 0.3 else f
+
+
+class TestAgainstOracles:
+    SEEDS = range(60)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_clustering(self, seed):
+        f = oracle_footprint(random.Random(seed))
+        expected = oracle_clustering(f)
+        for x in f.nodes:
+            assert repr(clustering_coefficient(f, x)) == repr(expected[x])
+        total = 0.0
+        for x in f.nodes:
+            if not math.isnan(expected[x]):
+                total += expected[x]
+        mean = total / len(f.nodes) if f.nodes else math.nan
+        assert repr(average_clustering(f)) == repr(mean)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_modularity(self, seed):
+        f = oracle_footprint(random.Random(seed))
+        assert repr(average_modularity(f)) == repr(oracle_modularity(f))
+
+    def test_instances_cover_the_cases(self):
+        fs = [oracle_footprint(random.Random(seed)) for seed in self.SEEDS]
+        assert any(f.directed for f in fs) and not all(f.directed for f in fs)
+        assert any(len(f.nodes) > 64 and f.edges for f in fs)
+        assert any(0 in f.degrees().values() for f in fs)
+        assert any(f.nodes and f.nodes != tuple(range(len(f.nodes))) for f in fs)
+        assert any(
+            f.edges and all(d > 0 for d in f.degrees().values()) for f in fs
+        )
 
 
 class TestPowerlaw:

@@ -120,6 +120,14 @@ class TestBetweenness:
         with pytest.raises(ValueError):
             temporal_betweenness(g, 0, 99, "shortest")
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_invalid_time_message_matches_journeys(self, n):
+        g = build_tvg(n, False, Lifetime(0, 10), [(0, 1, 0, 10)] if n else [])
+        with pytest.raises(ValueError, match=r"^t=99 outside lifetime \[0,10\)$"):
+            temporal_betweenness_all(g, 99, "shortest")
+        with pytest.raises(ValueError, match=r"^t=99 outside lifetime \[0,10\)$"):
+            distance_map(g, 0, 99, "shortest")
+
     def test_matches_networkx_on_static_graphs(self):
         import networkx as nx
 
