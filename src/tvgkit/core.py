@@ -221,9 +221,7 @@ class Footprint:
             raise ValueError(f"self-loop {e} rejected")
         self.window = window
         self._undirected: Optional[frozenset[tuple[int, int]]] = None
-        self._pairs: Optional[list[tuple[int, int]]] = None
         self._bits: Optional[list[int]] = None
-        self._links: Optional[list[int]] = None
         self._degree: Optional[dict[int, int]] = None
 
     @property
@@ -250,30 +248,13 @@ class Footprint:
         in the undirected view."""
         if self._bits is None:
             index = {x: i for i, x in enumerate(self.nodes)}
-            self._pairs = [(index[u], index[v]) for u, v in self.undirected_edges()]
             bits = [0] * len(self.nodes)
-            for i, j in self._pairs:
+            for u, v in self.undirected_edges():
+                i, j = index[u], index[v]
                 bits[i] |= 1 << j
                 bits[j] |= 1 << i
             self._bits = bits
         return self._bits
-
-    def neighbour_links(self) -> list[int]:
-        """Per node position in ``nodes``: adjacent pairs among its neighbours.
-
-        Each undirected edge is visited once: the neighbours its ends share
-        close a triangle at both ends, and every triangle at a node is seen
-        from both of its edges there.
-        """
-        if self._links is None:
-            bits = self.adjacency()
-            seen = [0] * len(bits)
-            for i, j in self._pairs:
-                c = (bits[i] & bits[j]).bit_count()
-                seen[i] += c
-                seen[j] += c
-            self._links = [c // 2 for c in seen]
-        return self._links
 
     def degree(self, x: int) -> int:
         return self.degrees().get(x, 0)
@@ -287,6 +268,8 @@ class Footprint:
         return self._degree
 
     def neighbors(self, x: int) -> set[int]:
+        """Neighbour set of ``x``; kept for API compatibility, the indicators
+        read :meth:`adjacency`."""
         b = self.adjacency()[self.nodes.index(x)]
         return {y for i, y in enumerate(self.nodes) if b >> i & 1}
 

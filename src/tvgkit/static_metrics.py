@@ -9,7 +9,7 @@ Conventions worth knowing:
   on the underlying undirected simple graph; density respects direction.
 * Clustering reads the footprint's neighbour bitmasks and visits each
   undirected edge once: the neighbours its two ends share are counted for
-  both ends (``Footprint.neighbour_links``).
+  both ends.
 * ``average_modularity`` adds the pair terms left to right in
   ``itertools.combinations`` order, so its float does not depend on the
   interpreter (``sum()`` of floats is compensated from Python 3.12 on).
@@ -30,6 +30,9 @@ from .core import Footprint
 
 #: exhaustive cut enumeration is capped at this node count (2^19 cuts)
 EXACT_CONDUCTANCE_LIMIT = 20
+
+#: pair terms per block in ``average_modularity``: bounds its memory, not its value
+_PAIR_BLOCK = 1 << 16
 
 
 class LimitExceededError(ValueError):
@@ -53,8 +56,18 @@ def density(f: Footprint) -> float:
 
 def clustering_coefficient(f: Footprint, x: int) -> float:
     """Fraction of ordered neighbour pairs of ``x`` that are adjacent; NaN for deg <= 1."""
-    i = f.nodes.index(x)
-    return _clustering(f.adjacency()[i].bit_count(), f.neighbour_links()[i])
+    bits = f.adjacency()
+    b = bits[f.nodes.index(x)]
+    shared = sum((b & bits[j]).bit_count() for j in _positions(b))
+    return _clustering(b.bit_count(), shared // 2)
+
+
+def _positions(b: int):
+    """Positions of the set bits of ``b``, lowest first."""
+    while b:
+        low = b & -b
+        yield low.bit_length() - 1
+        b ^= low
 
 
 def _clustering(k: int, links: int) -> float:
@@ -67,11 +80,21 @@ def average_clustering(f: Footprint) -> float:
     """Mean clustering over the node universe; deg <= 1 nodes contribute 0."""
     if f.num_nodes == 0:
         return math.nan
+    # each edge once: the neighbours its ends share close a triangle at both
+    # ends, and every triangle at a node is seen from both of its edges there
+    bits = f.adjacency()
+    index = {x: i for i, x in enumerate(f.nodes)}
+    shared = [0] * len(bits)
+    for u, v in f.undirected_edges():
+        i, j = index[u], index[v]
+        c = (bits[i] & bits[j]).bit_count()
+        shared[i] += c
+        shared[j] += c
     total = 0.0
-    for b, links in zip(f.adjacency(), f.neighbour_links()):
-        c = _clustering(b.bit_count(), links)
-        if not math.isnan(c):
-            total += c
+    for b, c in zip(bits, shared):
+        k = b.bit_count()
+        if k > 1:
+            total += _clustering(k, c // 2)
     return total / f.num_nodes
 
 
@@ -89,10 +112,19 @@ def average_modularity(f: Footprint) -> float:
     n = f.num_nodes
     if n < 2 or m == 0:
         return math.nan
-    # the terms of pair_modularity in combinations order, summed left to right
+    # the terms of pair_modularity in combinations order, summed left to
+    # right a block of rows at a time; the running total enters each block's
+    # first term, so the additions are the same and in the same order
     d = np.array(degree_sequence(f))
-    i, j = np.triu_indices(n, 1)
-    total = np.add.accumulate(d[i] * d[j] / (2 * m))[-1]
+    rows = max(1, _PAIR_BLOCK // n)
+    total = 0.0
+    for s in range(0, n - 1, rows):
+        # entry (a, b) is the pair (s + a, s + 1 + b), a pair when b >= a
+        block = d[s : s + rows, None] * d[None, s + 1 :] / (2 * m)
+        upper = np.arange(block.shape[1]) >= np.arange(block.shape[0])[:, None]
+        terms = block[upper]
+        terms[0] += total
+        total = np.add.accumulate(terms, out=terms)[-1]
     return float(total) / (n * (n - 1) // 2)
 
 

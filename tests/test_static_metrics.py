@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from tvgkit import static_metrics
 from tvgkit.core import Footprint
 from tvgkit.static_metrics import (
     LimitExceededError,
@@ -102,6 +103,20 @@ class TestClustering:
                 c = clustering_coefficient(f, x)
                 assert math.isnan(c) or 0.0 <= c <= 1.0
 
+    def test_matches_neighbour_pair_enumeration(self):
+        # reference: count adjacent pairs among the neighbours one by one
+        rng = random.Random(13)
+        for _ in range(40):
+            f = random_footprint(rng, n_max=14, p=rng.random())
+            if rng.random() < 0.5:
+                f = fp(len(f.nodes), [(v, u) for u, v in f.edges] + list(f.edges), True)
+            for x in f.nodes:
+                nb = f.neighbors(x)
+                k = len(nb)
+                links = sum(1 for u, v in combinations(nb, 2) if v in f.neighbors(u))
+                expected = math.nan if k <= 1 else 2 * links / (k * (k - 1))
+                assert repr(clustering_coefficient(f, x)) == repr(expected)
+
 
 class TestModularity:
     def test_single_edge_pair(self):
@@ -196,6 +211,15 @@ class TestAgainstOracles:
     def test_modularity(self, seed):
         f = oracle_footprint(random.Random(seed))
         assert repr(average_modularity(f)) == repr(oracle_modularity(f))
+
+    @pytest.mark.parametrize("block", [1, 5, 64, 1000])
+    def test_modularity_in_small_row_blocks(self, block, monkeypatch):
+        # blocks of one or several rows, and rows longer than a block,
+        # give the same float as one block
+        monkeypatch.setattr(static_metrics, "_PAIR_BLOCK", block)
+        for seed in range(12):
+            f = oracle_footprint(random.Random(seed))
+            assert repr(average_modularity(f)) == repr(oracle_modularity(f))
 
     def test_instances_cover_the_cases(self):
         fs = [oracle_footprint(random.Random(seed)) for seed in self.SEEDS]
