@@ -53,16 +53,19 @@ class PresenceSet:
     __slots__ = ("_starts", "_ends")
 
     def __init__(self, intervals: Iterable[tuple[int, int]]):
-        merged: list[list[int]] = []
+        starts: list[int] = []
+        ends: list[int] = []
         for a, b in sorted(intervals):
             if a >= b:
                 raise ValueError(f"empty interval [{a}, {b})")
-            if merged and a <= merged[-1][1]:  # overlap or adjacency: merge
-                merged[-1][1] = max(merged[-1][1], b)
+            if ends and a <= ends[-1]:  # overlap or adjacency: merge
+                if b > ends[-1]:
+                    ends[-1] = b
             else:
-                merged.append([a, b])
-        self._starts = [a for a, _ in merged]
-        self._ends = [b for _, b in merged]
+                starts.append(a)
+                ends.append(b)
+        self._starts = starts
+        self._ends = ends
 
     @property
     def intervals(self) -> list[tuple[int, int]]:
@@ -136,11 +139,15 @@ class TimeVaryingGraph:
         if len(edges) != len(presence):
             raise ValueError("edges and presence lists differ in length")
         for e, p in zip(edges, presence):
-            for a, b in p.intervals:
-                if a < lifetime.start or b > lifetime.end:
-                    raise ValueError(
-                        f"interval [{a},{b}) of edge ({e.u},{e.v}) outside lifetime"
-                    )
+            # sorted and disjoint: only the first start and the last end can stray
+            if p and (p._starts[0] < lifetime.start or p._ends[-1] > lifetime.end):
+                a, b = next(
+                    (a, b) for a, b in p.intervals
+                    if a < lifetime.start or b > lifetime.end
+                )
+                raise ValueError(
+                    f"interval [{a},{b}) of edge ({e.u},{e.v}) outside lifetime"
+                )
         self.n = n
         self.directed = directed
         self.lifetime = lifetime
@@ -195,6 +202,14 @@ class Footprint:
     ``nodes`` is the node universe used as |V| by the indicator formulas;
     it is the full node set by default and may be restricted to active
     nodes (see :meth:`restrict_to_active`).
+
+    In the undirected view, :meth:`degrees` and :meth:`links` give per
+    node its neighbour count and the number of edges among its neighbours
+    (the triangles at the node).  The windowed sweep
+    (``windows.footprint_sequence``) maintains both as edges enter and
+    leave the window and passes them in with its already checked, canonical
+    edges and sorted universe.  A footprint built without them validates
+    its edges and counts both from :meth:`adjacency` when first asked.
     """
 
     def __init__(
@@ -203,9 +218,21 @@ class Footprint:
         directed: bool,
         edges: Iterable[tuple[int, int]],
         window: tuple[int, int],
+        *,
+        degrees: Optional[dict[int, int]] = None,
+        links: Optional[dict[int, int]] = None,
     ):
-        self.nodes = tuple(sorted(set(nodes)))
         self.directed = directed
+        self.window = window
+        self._undirected: Optional[frozenset[tuple[int, int]]] = None
+        self._bits: Optional[list[int]] = None
+        self._degree = degrees
+        self._links = links
+        if degrees is not None:
+            self.nodes = tuple(nodes)
+            self.edges = frozenset(edges)
+            return
+        self.nodes = tuple(sorted(set(nodes)))
         if directed:
             self.edges = frozenset(edges)
         else:
@@ -219,10 +246,6 @@ class Footprint:
         if any(starmap(eq, self.edges)):
             e = min(e for e in self.edges if e[0] == e[1])
             raise ValueError(f"self-loop {e} rejected")
-        self.window = window
-        self._undirected: Optional[frozenset[tuple[int, int]]] = None
-        self._bits: Optional[list[int]] = None
-        self._degree: Optional[dict[int, int]] = None
 
     @property
     def num_nodes(self) -> int:
@@ -256,8 +279,13 @@ class Footprint:
             self._bits = bits
         return self._bits
 
+    def _check_node(self, x: int) -> None:
+        if x not in self.degrees():
+            raise ValueError(f"node {x} is not in the footprint's node universe")
+
     def degree(self, x: int) -> int:
-        return self.degrees().get(x, 0)
+        self._check_node(x)
+        return self._degree[x]
 
     def degrees(self) -> dict[int, int]:
         """Degree per node of the universe in the undirected view."""
@@ -267,9 +295,28 @@ class Footprint:
             }
         return self._degree
 
+    def links(self) -> dict[int, int]:
+        """Edges among the neighbours of each node of the universe in the
+        undirected view."""
+        if self._links is None:
+            # each edge once: the neighbours its ends share close a triangle
+            # at both ends, and every triangle at a node is seen from both of
+            # its edges there
+            bits = self.adjacency()
+            index = {x: i for i, x in enumerate(self.nodes)}
+            shared = [0] * len(bits)
+            for u, v in self.undirected_edges():
+                i, j = index[u], index[v]
+                c = (bits[i] & bits[j]).bit_count()
+                shared[i] += c
+                shared[j] += c
+            self._links = {x: c // 2 for x, c in zip(self.nodes, shared)}
+        return self._links
+
     def neighbors(self, x: int) -> set[int]:
         """Neighbour set of ``x``; kept for API compatibility, the indicators
-        read :meth:`adjacency`."""
+        read :meth:`degrees` and :meth:`links`."""
+        self._check_node(x)
         b = self.adjacency()[self.nodes.index(x)]
         return {y for i, y in enumerate(self.nodes) if b >> i & 1}
 
@@ -324,7 +371,11 @@ def build_tvg(
             raise ValueError(f"event outside lifetime in event {rec!r}")
         if not directed and u > v:
             u, v = v, u
-        by_edge.setdefault((u, v, label), []).append((a, b))
+        ivals = by_edge.get((u, v, label))
+        if ivals is None:
+            by_edge[u, v, label] = [(a, b)]
+        else:
+            ivals.append((a, b))
     edges = []
     presence = []
     for (u, v, label), ivals in sorted(

@@ -7,9 +7,11 @@ Conventions worth knowing:
   undirected graph has density exactly 1.0.
 * On directed footprints, clustering, modularity and conductance operate
   on the underlying undirected simple graph; density respects direction.
-* Clustering reads the footprint's neighbour bitmasks and visits each
-  undirected edge once: the neighbours its two ends share are counted for
-  both ends.
+* Clustering applies one formula, ``2 * links / (k * (k - 1))``, to the
+  footprint's per-node degrees and link counts (``Footprint.degrees`` and
+  ``Footprint.links``): the windowed sweep keeps both up to date as edges
+  enter and leave the window; a footprint built on its own counts the links
+  once from its neighbour bitmasks, visiting each undirected edge once.
 * ``average_modularity`` adds the pair terms left to right in
   ``itertools.combinations`` order, so its float does not depend on the
   interpreter (``sum()`` of floats is compensated from Python 3.12 on).
@@ -56,18 +58,7 @@ def density(f: Footprint) -> float:
 
 def clustering_coefficient(f: Footprint, x: int) -> float:
     """Fraction of ordered neighbour pairs of ``x`` that are adjacent; NaN for deg <= 1."""
-    bits = f.adjacency()
-    b = bits[f.nodes.index(x)]
-    shared = sum((b & bits[j]).bit_count() for j in _positions(b))
-    return _clustering(b.bit_count(), shared // 2)
-
-
-def _positions(b: int):
-    """Positions of the set bits of ``b``, lowest first."""
-    while b:
-        low = b & -b
-        yield low.bit_length() - 1
-        b ^= low
+    return _clustering(f.degree(x), f.links()[x])
 
 
 def _clustering(k: int, links: int) -> float:
@@ -80,47 +71,39 @@ def average_clustering(f: Footprint) -> float:
     """Mean clustering over the node universe; deg <= 1 nodes contribute 0."""
     if f.num_nodes == 0:
         return math.nan
-    # each edge once: the neighbours its ends share close a triangle at both
-    # ends, and every triangle at a node is seen from both of its edges there
-    bits = f.adjacency()
-    index = {x: i for i, x in enumerate(f.nodes)}
-    shared = [0] * len(bits)
-    for u, v in f.undirected_edges():
-        i, j = index[u], index[v]
-        c = (bits[i] & bits[j]).bit_count()
-        shared[i] += c
-        shared[j] += c
+    deg, links = f.degrees(), f.links()
     total = 0.0
-    for b, c in zip(bits, shared):
-        k = b.bit_count()
+    for x in f.nodes:
+        k = deg[x]
         if k > 1:
-            total += _clustering(k, c // 2)
+            total += _clustering(k, links[x])
     return total / f.num_nodes
 
 
 def pair_modularity(f: Footprint, u: int, v: int) -> float:
     """Configuration-model null term deg(u)*deg(v) / 2|E|; NaN without edges."""
+    du, dv = f.degree(u), f.degree(v)
     m = len(f.undirected_edges())
     if m == 0:
         return math.nan
-    return f.degree(u) * f.degree(v) / (2 * m)
+    return du * dv / (2 * m)
 
 
 def average_modularity(f: Footprint) -> float:
     """Mean pair modularity over unordered node pairs."""
-    m = len(f.undirected_edges())
+    d = np.array(degree_sequence(f))
+    two_m = int(d.sum())  # twice the undirected edge count
     n = f.num_nodes
-    if n < 2 or m == 0:
+    if n < 2 or two_m == 0:
         return math.nan
     # the terms of pair_modularity in combinations order, summed left to
     # right a block of rows at a time; the running total enters each block's
     # first term, so the additions are the same and in the same order
-    d = np.array(degree_sequence(f))
     rows = max(1, _PAIR_BLOCK // n)
     total = 0.0
     for s in range(0, n - 1, rows):
         # entry (a, b) is the pair (s + a, s + 1 + b), a pair when b >= a
-        block = d[s : s + rows, None] * d[None, s + 1 :] / (2 * m)
+        block = d[s : s + rows, None] * d[None, s + 1 :] / two_m
         upper = np.arange(block.shape[1]) >= np.arange(block.shape[0])[:, None]
         terms = block[upper]
         terms[0] += total

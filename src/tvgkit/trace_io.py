@@ -67,9 +67,9 @@ def parse_trace(
         skipped.append((line_no, msg))
 
     for line_no, row in enumerate(reader, start=1):
-        if not row or all(not c.strip() for c in row):
+        row = list(map(str.strip, row))
+        if not any(row):
             continue
-        row = [c.strip() for c in row]
         if header is None:
             if row not in [list(h) for h in HEADERS]:
                 raise TraceFormatError(

@@ -3,13 +3,17 @@
 The lifetime is cut into consecutive (or sliding) half-open windows; each
 window yields either a footprint (for atemporal indicators) or a temporal
 subgraph (for journey-based indicators), and an indicator evaluated per
-window produces a time series.
+window produces a time series.  Footprints slide from window to window by
+their edge deltas: the edges that enter and leave update per-node degrees
+and link counts (``Footprint.degrees`` and ``Footprint.links``), which
+each window's footprint receives ready-made.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterator, Optional, Sequence
 
 from .core import Footprint, Lifetime, TimeVaryingGraph, restrict_nodes, temporal_subgraph
@@ -104,27 +108,90 @@ def _footprints(
 ) -> Iterator[Footprint]:
     """The footprint of each of ``wins`` (the windows of ``spec``), in order.
 
-    One sweep over the presence intervals: window j is
-    ``[first + j*stride, first + j*stride + length)`` clipped to the
-    lifetime, so an interval ``[s, t)`` meets exactly the windows j with
-    ``first + j*stride < t`` and ``s < first + j*stride + length``.  Each
-    edge joins a window once, however many of its intervals meet it.
+    Window j is ``[first + j*stride, first + j*stride + length)`` clipped
+    to the lifetime, so an interval ``[s, t)`` meets exactly the windows j
+    with ``first + j*stride < t`` and ``s < first + j*stride + length``.
+    One pass over the presence intervals checks each edge once and turns
+    each of its runs of consecutive windows into an entry at the run's
+    first window and an exit after its last.  The sweep then
+    slides from window to window by these deltas, keeping per node id the
+    neighbour bitmask, the degree and the edges among the neighbours (see
+    ``Footprint.links``), so the work per window is the edges that change
+    plus the node universe, not the window's edges.
     """
     first, stride, length = _first_start(g.lifetime, spec), spec.stride, spec.length
-    last = len(wins) - 1
-    pairs: list[list[tuple[int, int]]] = [[] for _ in wins]
+    n, directed, last = g.n, g.directed, len(wins) - 1
+    enter: list[list[tuple[int, int]]] = [[] for _ in range(last + 2)]
+    leave: list[list[tuple[int, int]]] = [[] for _ in range(last + 2)]
     for e, p in zip(g.edges, g.presence):
-        uv = (e.u, e.v)
-        lo = 0  # first window this edge has not joined yet
+        uv = (e.u, e.v) if directed or e.u < e.v else (e.v, e.u)
+        if e.u == e.v:
+            raise ValueError(f"self-loop {uv} rejected")
+        if not (0 <= e.u < n and 0 <= e.v < n):
+            raise ValueError(f"edge {uv} has an endpoint outside the node universe")
+        start, end = 0, -1  # the edge's current run of windows, empty at first
         for s, t in p.intervals:
-            lo = max(lo, (s - length - first) // stride + 1)
+            # the windows [lo, hi] that [s, t) meets; never empty, as the
+            # windows cover the lifetime
+            lo = (s - length - first) // stride + 1
             hi = min(last, (t - 1 - first) // stride)
-            for j in range(lo, hi + 1):
-                pairs[j].append(uv)
-            lo = max(lo, hi + 1)
-    for win, ps in zip(wins, pairs):
-        nodes = range(g.n) if node_policy == "all" else {x for uv in ps for x in uv}
-        yield Footprint(nodes, g.directed, ps, win)
+            if lo > end + 1:
+                if end >= start:
+                    enter[start].append(uv)
+                    leave[end + 1].append(uv)
+                start = lo
+            end = hi  # never below end: later intervals end later
+        if end >= start:
+            enter[start].append(uv)
+            leave[end + 1].append(uv)
+
+    present: dict[tuple[int, int], int] = {}  # footprint edge -> its TVG edges
+    pairs: dict[tuple[int, int], int] = {}  # directed: undirected pair -> its arcs
+    bits, deg, links = [0] * n, [0] * n, [0] * n
+
+    def count(counts: dict, key: tuple[int, int], sign: int) -> bool:
+        """Move ``counts[key]`` by ``sign``; True when ``key`` appears or vanishes."""
+        c = counts.get(key, 0) + sign
+        if c:
+            counts[key] = c
+            return c == 1 and sign > 0
+        del counts[key]
+        return True
+
+    def flip(u: int, v: int, sign: int) -> None:
+        """Add (sign 1) or remove (sign -1) the undirected edge {u, v}."""
+        common = bits[u] & bits[v]  # never holds u or v: no self-loops
+        if common:
+            c = sign * common.bit_count()
+            links[u] += c
+            links[v] += c
+            while common:
+                w = common.bit_length() - 1
+                links[w] += sign
+                common ^= 1 << w
+        bits[u] ^= 1 << v
+        bits[v] ^= 1 << u
+        deg[u] += sign
+        deg[v] += sign
+
+    for win, ins, outs in zip(wins, enter, leave):
+        # entries first, so a label taking over from another changes nothing
+        for batch, sign in ((ins, 1), (outs, -1)):
+            for uv in batch:
+                if count(present, uv, sign):
+                    if directed:
+                        uv = uv if uv[0] < uv[1] else (uv[1], uv[0])
+                        if not count(pairs, uv, sign):
+                            continue
+                    flip(*uv, sign)
+        if node_policy == "all":
+            nodes = range(n)
+            d, k = dict(enumerate(deg)), dict(enumerate(links))
+        else:
+            nodes = list(compress(range(n), deg))
+            d = dict(zip(nodes, compress(deg, deg)))
+            k = dict(zip(nodes, compress(links, deg)))
+        yield Footprint(nodes, directed, present, win, degrees=d, links=k)
 
 
 def footprint_sequence(

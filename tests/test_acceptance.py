@@ -232,3 +232,19 @@ def test_10_cli_golden_static_indicators(tmp_path):
     )
     assert code == 0
     assert out.read_bytes() == (DATA / "evolve_static_golden.csv").read_bytes()
+
+
+def test_11_cli_golden_static_indicators_directed(tmp_path):
+    """The same trace read as directed, with every node in every window's
+    universe, reproduces its checked-in CSV byte for byte."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text(generate_trace("uniform-random", seed=3, nodes=80, ticks=120, p=0.02))
+    out = tmp_path / "evolve.csv"
+    code = cli.main(
+        ["evolve", str(trace), "--directed", "--node-policy", "all",
+         "--window", "20", "--stride", "5",
+         "--indicators", "density,avg_clustering,avg_modularity,powerlaw",
+         "--output", str(out)]
+    )
+    assert code == 0
+    assert out.read_bytes() == (DATA / "evolve_static_directed_golden.csv").read_bytes()

@@ -170,6 +170,19 @@ class TestFootprint:
         assert f.degrees() == {10: 1, 20: 2, 30: 0, 40: 1}
         assert f.neighbors(20) == {10, 40}
 
+    def test_links_count_edges_among_neighbours(self):
+        # triangle 1-2-3 plus pendant 4 on 3; both arcs of 1-2 count once
+        f = Footprint([1, 2, 3, 4, 5], True, [(1, 2), (2, 1), (2, 3), (3, 1), (3, 4)], (0, 1))
+        assert f.degrees() == {1: 2, 2: 2, 3: 3, 4: 1, 5: 0}
+        assert f.links() == {1: 1, 2: 1, 3: 1, 4: 0, 5: 0}
+
+    def test_node_outside_universe_rejected(self):
+        f = Footprint([0, 1, 2], False, [(0, 1)], (0, 1))
+        for query in (f.degree, f.neighbors):
+            with pytest.raises(ValueError, match=r"^node 99 is not in the footprint"):
+                query(99)
+        assert f.degree(2) == 0 and f.neighbors(2) == set()
+
 
 class TestTemporalSubgraph:
     def test_clipping(self):

@@ -122,6 +122,14 @@ class TestModularity:
     def test_single_edge_pair(self):
         assert pair_modularity(fp(2, [(0, 1)]), 0, 1) == 0.5
 
+    def test_node_outside_universe_rejected(self):
+        # with and without edges: an unknown node is an error, not 0.0 or NaN
+        for f in (fp(3, [(0, 1), (1, 2)]), fp(3, [])):
+            with pytest.raises(ValueError, match=r"^node 99 is not in the footprint"):
+                pair_modularity(f, 0, 99)
+            with pytest.raises(ValueError, match=r"^node 99 is not in the footprint"):
+                clustering_coefficient(f, 99)
+
     def test_isolated_node_zero(self):
         f = fp(3, [(0, 1)])
         assert pair_modularity(f, 0, 2) == 0.0

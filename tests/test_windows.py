@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvgkit import windows
-from tvgkit.core import Footprint, Lifetime, TimeVaryingGraph, build_tvg, footprint
+from tvgkit.core import (
+    Edge,
+    Footprint,
+    Lifetime,
+    PresenceSet,
+    TimeVaryingGraph,
+    build_tvg,
+    footprint,
+)
 from tvgkit.windows import (
     IndicatorSeries,
     WindowSpec,
@@ -15,9 +23,9 @@ from tvgkit.windows import (
     tvg_sequence,
     windows_of,
 )
-from tvgkit.static_metrics import average_clustering, density
+from tvgkit.static_metrics import average_clustering, clustering_coefficient, density
 
-from oracles import oracle_journey_exists, random_tvg
+from oracles import oracle_clustering, oracle_journey_exists, random_tvg
 
 
 class TestWindowsOf:
@@ -161,6 +169,120 @@ class TestFootprintSweep:
         g = build_tvg(2, False, Lifetime(0, 4), [(0, 1, 0, 2)])
         with pytest.raises(ValueError, match="node policy"):
             footprint_sequence(g, WindowSpec(2), node_policy="some")
+
+
+def sweep_case(rng, directed=None):
+    """Seeded TVG and sliding or partition window spec for the delta-sweep
+    tests: directed or not, node ids up to 79 (bitmasks wider than 64 bits),
+    edges concentrated on a pool of nodes so that windows hold triangles,
+    labelled parallel edges, intervals from one tick to the whole lifetime,
+    and ``align`` at or before the lifetime start."""
+    n = rng.randint(2, 80)
+    if directed is None:
+        directed = rng.random() < 0.5
+    start = rng.randint(-10, 10)
+    life = Lifetime(start, start + rng.randint(1, 60))
+    pool = rng.sample(range(n), rng.randint(2, min(n, 14)))
+    events = []
+    for _ in range(rng.randint(0, 60)):
+        u, v = rng.sample(pool if rng.random() < 0.8 else range(n), 2)
+        label = rng.choice([None, None, "x", "y"])
+        for _ in range(rng.randint(1, 3)):
+            a = rng.randrange(life.start, life.end)
+            b = min(life.end, a + rng.choice([1, 2, 5, life.length]))
+            events.append((u, v, a, b) if label is None else (u, v, a, b, label))
+    length = rng.randint(1, 15)
+    stride = rng.choice([length, rng.randint(1, length)])
+    align = rng.choice([None, start - rng.randint(0, 20)])
+    return build_tvg(n, directed, life, events), WindowSpec(length, stride, align)
+
+
+class TestDeltaSweep:
+    SEEDS = range(80)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_from_scratch_footprints(self, seed):
+        g, spec = sweep_case(random.Random(seed))
+        wins = windows_of(g.lifetime, spec)
+        for node_policy in ("all", "active"):
+            seq = footprint_sequence(g, spec, node_policy)
+            assert len(seq) == len(wins)
+            for f, (a, b) in zip(seq, wins):
+                expected = footprint(g, a, b)
+                if node_policy == "active":
+                    expected = expected.restrict_to_active()
+                assert f == expected
+                fresh = Footprint(f.nodes, f.directed, f.edges, f.window)
+                assert f == fresh
+                assert f.degrees() == fresh.degrees()
+                assert f.links() == fresh.links()
+                clustering = oracle_clustering(f)
+                for x in f.nodes:
+                    assert repr(clustering_coefficient(f, x)) == repr(clustering[x])
+
+    def test_instances_cover_the_cases(self):
+        cases = [sweep_case(random.Random(seed)) for seed in self.SEEDS]
+        graphs = [g for g, _ in cases]
+        assert any(g.directed for g in graphs) and not all(g.directed for g in graphs)
+        assert any(len({(e.u, e.v) for e in g.edges}) < len(g.edges) for g in graphs)
+        arcs = [{(e.u, e.v) for e in g.edges} for g in graphs if g.directed]
+        assert any((v, u) in a for a in arcs for u, v in a)  # both arcs of a pair
+        assert any(s.stride < s.length for _, s in cases)
+        assert any(s.stride == s.length for _, s in cases)
+        assert any(s.align is not None and s.align < g.lifetime.start for g, s in cases)
+        # an interval spanning at least three sliding windows
+        assert any(
+            b - a >= s.length + 2 * s.stride
+            for g, s in cases
+            for p in g.presence
+            for a, b in p.intervals
+        )
+        fs = [f for g, s in cases for f in footprint_sequence(g, s, "all")]
+        assert any(f.edges and max(map(max, f.edges)) >= 64 for f in fs)
+        assert sum(1 for f in fs if any(f.links().values())) >= 50
+
+    def test_unsorted_directly_built_tvg(self):
+        # a TVG built without build_tvg: undirected endpoints in either order
+        g = TimeVaryingGraph(
+            3, False, Lifetime(0, 6),
+            [Edge(2, 0), Edge(0, 2, "x"), Edge(1, 0), Edge(2, 1)],
+            [PresenceSet([(0, 4)]), PresenceSet([(2, 6)]),
+             PresenceSet([(1, 2)]), PresenceSet([(3, 5)])],
+        )
+        seq = footprint_sequence(g, WindowSpec(2, 1), "all")
+        assert seq == [footprint(g, a, b) for a, b in windows_of(g.lifetime, WindowSpec(2, 1))]
+        assert [f.links() for f in seq] == [
+            Footprint(f.nodes, False, f.edges, f.window).links() for f in seq
+        ]
+
+    def test_self_loop_rejected(self):
+        g = TimeVaryingGraph(2, False, Lifetime(0, 4), [Edge(1, 1)], [PresenceSet([(0, 2)])])
+        with pytest.raises(ValueError, match=r"self-loop \(1, 1\) rejected"):
+            footprint_sequence(g, WindowSpec(2, 1))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("node_policy", ["all", "active"])
+    def test_static_indicators_build_no_adjacency(self, monkeypatch, directed, node_policy):
+        # the sweep hands every static indicator its degrees and link counts,
+        # so no window rebuilds its neighbour bitmasks
+        names = ["density", "avg_clustering", "avg_modularity", "powerlaw"]
+        g, _ = sweep_case(random.Random(11), directed)
+        spec = WindowSpec(6, 2)
+        windows.indicator_names()  # load the registry
+        expected = []
+        for a, b in windows_of(g.lifetime, spec):
+            f = footprint(g, a, b)
+            if node_policy == "active":
+                f = f.restrict_to_active()
+            expected.append([repr(float(windows.STATIC_INDICATORS[n](f))) for n in names])
+
+        def no_adjacency(self):
+            raise AssertionError("a window built its neighbour bitmasks")
+
+        monkeypatch.setattr(Footprint, "adjacency", no_adjacency)
+        series = evolve_many(g, spec, names, node_policy)
+        assert [[repr(v) for v in row] for row in zip(*(s.values for s in series))] == expected
+        assert any(v > 0 for v in series[1].values)
 
 
 class TestTvgSequence:
