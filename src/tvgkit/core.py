@@ -139,15 +139,11 @@ class TimeVaryingGraph:
         if len(edges) != len(presence):
             raise ValueError("edges and presence lists differ in length")
         for e, p in zip(edges, presence):
-            # sorted and disjoint: only the first start and the last end can stray
-            if p and (p._starts[0] < lifetime.start or p._ends[-1] > lifetime.end):
-                a, b = next(
-                    (a, b) for a, b in p.intervals
-                    if a < lifetime.start or b > lifetime.end
-                )
-                raise ValueError(
-                    f"interval [{a},{b}) of edge ({e.u},{e.v}) outside lifetime"
-                )
+            for a, b in p.intervals:
+                if a < lifetime.start or b > lifetime.end:
+                    raise ValueError(
+                        f"interval [{a},{b}) of edge ({e.u},{e.v}) outside lifetime"
+                    )
         self.n = n
         self.directed = directed
         self.lifetime = lifetime
@@ -206,10 +202,10 @@ class Footprint:
     In the undirected view, :meth:`degrees` and :meth:`links` give per
     node its neighbour count and the number of edges among its neighbours
     (the triangles at the node).  The windowed sweep
-    (``windows.footprint_sequence``) maintains both as edges enter and
-    leave the window and passes them in with its already checked, canonical
-    edges and sorted universe.  A footprint built without them validates
-    its edges and counts both from :meth:`adjacency` when first asked.
+    (``windows.footprint_sequence``) keeps both up to date as edges enter
+    and leave the window and hands them over ready-made; a footprint built
+    by the constructor validates its edges and counts both from
+    :meth:`adjacency` when first asked.
     """
 
     def __init__(
@@ -218,21 +214,9 @@ class Footprint:
         directed: bool,
         edges: Iterable[tuple[int, int]],
         window: tuple[int, int],
-        *,
-        degrees: Optional[dict[int, int]] = None,
-        links: Optional[dict[int, int]] = None,
     ):
-        self.directed = directed
-        self.window = window
-        self._undirected: Optional[frozenset[tuple[int, int]]] = None
-        self._bits: Optional[list[int]] = None
-        self._degree = degrees
-        self._links = links
-        if degrees is not None:
-            self.nodes = tuple(nodes)
-            self.edges = frozenset(edges)
-            return
         self.nodes = tuple(sorted(set(nodes)))
+        self.directed = directed
         if directed:
             self.edges = frozenset(edges)
         else:
@@ -246,6 +230,31 @@ class Footprint:
         if any(starmap(eq, self.edges)):
             e = min(e for e in self.edges if e[0] == e[1])
             raise ValueError(f"self-loop {e} rejected")
+        self.window = window
+        self._undirected: Optional[frozenset[tuple[int, int]]] = None
+        self._bits: Optional[list[int]] = None
+        self._degree: Optional[dict[int, int]] = None
+        self._links: Optional[dict[int, int]] = None
+
+    @classmethod
+    def _swept(
+        cls,
+        nodes: Iterable[int],
+        directed: bool,
+        edges: Iterable[tuple[int, int]],
+        window: tuple[int, int],
+        degrees: dict[int, int],
+        links: dict[int, int],
+    ) -> "Footprint":
+        """A footprint of the windowed sweep, which has already checked and
+        canonicalized ``edges``, sorted ``nodes`` and counted ``degrees`` and
+        ``links`` for them."""
+        f = cls.__new__(cls)
+        f.nodes, f.directed, f.window = tuple(nodes), directed, window
+        f.edges = frozenset(edges)
+        f._undirected = f._bits = None
+        f._degree, f._links = degrees, links
+        return f
 
     @property
     def num_nodes(self) -> int:
@@ -371,11 +380,7 @@ def build_tvg(
             raise ValueError(f"event outside lifetime in event {rec!r}")
         if not directed and u > v:
             u, v = v, u
-        ivals = by_edge.get((u, v, label))
-        if ivals is None:
-            by_edge[u, v, label] = [(a, b)]
-        else:
-            ivals.append((a, b))
+        by_edge.setdefault((u, v, label), []).append((a, b))
     edges = []
     presence = []
     for (u, v, label), ivals in sorted(

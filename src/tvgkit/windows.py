@@ -13,10 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from typing import Iterator, Optional, Sequence
 
-from .core import Footprint, Lifetime, TimeVaryingGraph, restrict_nodes, temporal_subgraph
+from .core import (
+    Footprint,
+    Lifetime,
+    PresenceSet,
+    TimeVaryingGraph,
+    restrict_nodes,
+    temporal_subgraph,
+)
 from .journeys import _check_kind
 
 Window = tuple[int, int]
@@ -111,79 +118,106 @@ def _footprints(
     Window j is ``[first + j*stride, first + j*stride + length)`` clipped
     to the lifetime, so an interval ``[s, t)`` meets exactly the windows j
     with ``first + j*stride < t`` and ``s < first + j*stride + length``.
-    One pass over the presence intervals checks each edge once and turns
-    each of its runs of consecutive windows into an entry at the run's
-    first window and an exit after its last.  The sweep then
-    slides from window to window by these deltas, keeping per node id the
-    neighbour bitmask, the degree and the edges among the neighbours (see
-    ``Footprint.links``), so the work per window is the edges that change
-    plus the node universe, not the window's edges.
+    One pass over the TVG edges checks each once and groups their presence
+    by footprint edge (and, when directed, by undirected pair); each run of
+    consecutive windows that a group meets becomes an entry at the run's
+    first window and an exit after its last.  The sweep then slides from
+    window to window by these deltas, keeping the edge set and, per node
+    id, the neighbour bitmask and the edges among the neighbours (see
+    ``Footprint.links``).  A window's link counts follow its changed pairs
+    and their common neighbours, or, when those outnumber its pairs, are
+    recounted over its pairs, the work of a footprint built on its own.
     """
     first, stride, length = _first_start(g.lifetime, spec), spec.stride, spec.length
     n, directed, last = g.n, g.directed, len(wins) - 1
-    enter: list[list[tuple[int, int]]] = [[] for _ in range(last + 2)]
-    leave: list[list[tuple[int, int]]] = [[] for _ in range(last + 2)]
+    by_edge: dict[tuple[int, int], list[PresenceSet]] = {}
     for e, p in zip(g.edges, g.presence):
         uv = (e.u, e.v) if directed or e.u < e.v else (e.v, e.u)
         if e.u == e.v:
             raise ValueError(f"self-loop {uv} rejected")
         if not (0 <= e.u < n and 0 <= e.v < n):
             raise ValueError(f"edge {uv} has an endpoint outside the node universe")
-        start, end = 0, -1  # the edge's current run of windows, empty at first
-        for s, t in p.intervals:
-            # the windows [lo, hi] that [s, t) meets; never empty, as the
-            # windows cover the lifetime
-            lo = (s - length - first) // stride + 1
-            hi = min(last, (t - 1 - first) // stride)
-            if lo > end + 1:
-                if end >= start:
-                    enter[start].append(uv)
-                    leave[end + 1].append(uv)
-                start = lo
-            end = hi  # never below end: later intervals end later
-        if end >= start:
-            enter[start].append(uv)
-            leave[end + 1].append(uv)
+        by_edge.setdefault(uv, []).append(p)
 
-    present: dict[tuple[int, int], int] = {}  # footprint edge -> its TVG edges
-    pairs: dict[tuple[int, int], int] = {}  # directed: undirected pair -> its arcs
-    bits, deg, links = [0] * n, [0] * n, [0] * n
+    def deltas(groups: dict) -> tuple[list[list], list[list]]:
+        """Per window, the keys of ``groups`` that enter it and that leave it."""
+        enter: list[list] = [[] for _ in range(last + 2)]
+        leave: list[list] = [[] for _ in range(last + 2)]
+        for key, ps in groups.items():
+            intervals = (
+                ps[0].intervals if len(ps) == 1
+                else sorted(chain.from_iterable(p.intervals for p in ps))
+            )
+            # the key's current run of windows: empty at window 0, so that a
+            # run reaching back before the first window starts there
+            start, end = 0, -1
+            for s, t in intervals:
+                # the windows [lo, hi] that [s, t) meets; never empty, as the
+                # windows cover the lifetime
+                lo = (s - length - first) // stride + 1
+                hi = min(last, (t - 1 - first) // stride)
+                if lo > end + 1:
+                    if end >= start:
+                        enter[start].append(key)
+                        leave[end + 1].append(key)
+                    start, end = lo, hi
+                elif hi > end:
+                    end = hi
+            if end >= start:
+                enter[start].append(key)
+                leave[end + 1].append(key)
+        return enter, leave
 
-    def count(counts: dict, key: tuple[int, int], sign: int) -> bool:
-        """Move ``counts[key]`` by ``sign``; True when ``key`` appears or vanishes."""
-        c = counts.get(key, 0) + sign
-        if c:
-            counts[key] = c
-            return c == 1 and sign > 0
-        del counts[key]
-        return True
-
-    def flip(u: int, v: int, sign: int) -> None:
-        """Add (sign 1) or remove (sign -1) the undirected edge {u, v}."""
-        common = bits[u] & bits[v]  # never holds u or v: no self-loops
-        if common:
-            c = sign * common.bit_count()
-            links[u] += c
-            links[v] += c
-            while common:
-                w = common.bit_length() - 1
-                links[w] += sign
-                common ^= 1 << w
-        bits[u] ^= 1 << v
-        bits[v] ^= 1 << u
-        deg[u] += sign
-        deg[v] += sign
-
-    for win, ins, outs in zip(wins, enter, leave):
-        # entries first, so a label taking over from another changes nothing
-        for batch, sign in ((ins, 1), (outs, -1)):
-            for uv in batch:
-                if count(present, uv, sign):
-                    if directed:
-                        uv = uv if uv[0] < uv[1] else (uv[1], uv[0])
-                        if not count(pairs, uv, sign):
-                            continue
-                    flip(*uv, sign)
+    edges_in, edges_out = deltas(by_edge)
+    present: set[tuple[int, int]] = set()  # the window's footprint edges
+    if directed:
+        by_pair: dict[tuple[int, int], list[PresenceSet]] = {}
+        for (u, v), ps in by_edge.items():
+            by_pair.setdefault((u, v) if u < v else (v, u), []).extend(ps)
+        pairs_in, pairs_out = deltas(by_pair)
+        pairs: set[tuple[int, int]] = set()  # the window's undirected pairs
+    else:
+        pairs_in, pairs_out, pairs = edges_in, edges_out, present
+    bits, links = [0] * n, [0] * n
+    deltas_by_window = zip(wins, edges_in, edges_out, pairs_in, pairs_out)
+    for win, e_in, e_out, p_in, p_out in deltas_by_window:
+        present.difference_update(e_out)
+        present.update(e_in)
+        if directed:
+            pairs.difference_update(p_out)
+            pairs.update(p_in)
+        # the pairs that vanish or appear, with the neighbours their ends
+        # share then (a triangle at both ends and at each common neighbour),
+        # as long as following them is less work than recounting every pair
+        flips: list[tuple[int, int, int, int]] = []
+        budget = len(pairs)
+        for batch, sign in ((p_out, -1), (p_in, 1)):
+            for u, v in batch:
+                if budget >= 0:
+                    common = bits[u] & bits[v]  # never holds u or v: no self-loops
+                    if common:
+                        budget -= 1 + common.bit_count()
+                        flips.append((u, v, sign, common))
+                bits[u] ^= 1 << v
+                bits[v] ^= 1 << u
+        if budget >= 0:
+            for u, v, sign, common in flips:
+                c = sign * common.bit_count()
+                links[u] += c
+                links[v] += c
+                while common:
+                    w = common.bit_length() - 1
+                    links[w] += sign
+                    common ^= 1 << w
+        else:
+            # each pair once, its common neighbours counted at both ends
+            links = [0] * n
+            for u, v in pairs:
+                c = (bits[u] & bits[v]).bit_count()
+                links[u] += c
+                links[v] += c
+            links = [c // 2 for c in links]
+        deg = [b.bit_count() for b in bits]
         if node_policy == "all":
             nodes = range(n)
             d, k = dict(enumerate(deg)), dict(enumerate(links))
@@ -191,7 +225,7 @@ def _footprints(
             nodes = list(compress(range(n), deg))
             d = dict(zip(nodes, compress(deg, deg)))
             k = dict(zip(nodes, compress(links, deg)))
-        yield Footprint(nodes, directed, present, win, degrees=d, links=k)
+        yield Footprint._swept(nodes, directed, present, win, d, k)
 
 
 def footprint_sequence(

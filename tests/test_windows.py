@@ -241,6 +241,28 @@ class TestDeltaSweep:
         assert any(f.edges and max(map(max, f.edges)) >= 64 for f in fs)
         assert sum(1 for f in fs if any(f.links().values())) >= 50
 
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("stride", [3, 6])
+    def test_dense_changing_windows_match_from_scratch(self, directed, stride):
+        # most pairs change from window to window and share neighbours, so
+        # the link counts are recounted over the window's pairs
+        rng = random.Random(stride + directed)
+        events = [
+            (u, v, a, a + rng.randint(1, 2))
+            for u in range(10)
+            for v in range(10)
+            if u != v
+            for a in rng.sample(range(29), 2)
+        ]
+        g = build_tvg(10, directed, Lifetime(0, 30), events)
+        spec = WindowSpec(6, stride)
+        seq = footprint_sequence(g, spec, "all")
+        for f, (a, b) in zip(seq, windows_of(g.lifetime, spec)):
+            assert f == footprint(g, a, b)
+            fresh = Footprint(f.nodes, f.directed, f.edges, f.window)
+            assert f.degrees() == fresh.degrees()
+            assert f.links() == fresh.links()
+
     def test_unsorted_directly_built_tvg(self):
         # a TVG built without build_tvg: undirected endpoints in either order
         g = TimeVaryingGraph(
@@ -378,18 +400,23 @@ class TestEvolveMany:
 
     def _count_builds(self, monkeypatch):
         counts = {"footprint": 0, "subgraph": 0}
-        init = Footprint.__init__
+        init, swept = Footprint.__init__, Footprint._swept
         subgraph = windows.temporal_subgraph
 
         def counting_init(self, *args, **kwargs):
             counts["footprint"] += 1
             init(self, *args, **kwargs)
 
+        def counting_swept(*args):  # the windowed sweep's footprints
+            counts["footprint"] += 1
+            return swept(*args)
+
         def counting_subgraph(*args):
             counts["subgraph"] += 1
             return subgraph(*args)
 
         monkeypatch.setattr(Footprint, "__init__", counting_init)
+        monkeypatch.setattr(Footprint, "_swept", staticmethod(counting_swept))
         monkeypatch.setattr(windows, "temporal_subgraph", counting_subgraph)
         return counts
 
