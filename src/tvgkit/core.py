@@ -13,7 +13,7 @@ import bisect
 from dataclasses import dataclass
 from itertools import chain, starmap
 from operator import eq
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,20 @@ class PresenceSet:
         return i < len(self._starts) and self._starts[i] < b
 
 
+class Timeline(NamedTuple):
+    """When the presence intervals of a graph open and close.
+
+    ``times`` are the sorted distinct instants at which some interval
+    starts or has its last tick; ``opening[a]`` and ``closing[a]`` list the
+    arcs ``(tail, edge index, head)`` of the intervals starting at ``a`` and
+    of those whose last tick is ``a`` (both directions when undirected).
+    """
+
+    times: list[int]
+    opening: dict[int, list[tuple[int, int, int]]]
+    closing: dict[int, list[tuple[int, int, int]]]
+
+
 class TimeVaryingGraph:
     """Immutable TVG: node count, edge list, and one presence set per edge."""
 
@@ -160,6 +174,7 @@ class TimeVaryingGraph:
                 radj[e.u].append((i, e.v))
         self._adj = adj
         self._radj = radj
+        self._timeline: Optional[Timeline] = None
 
     def out_edges(self, u: int) -> list[tuple[int, int]]:
         """(edge index, neighbor) pairs usable when standing at ``u``."""
@@ -167,6 +182,13 @@ class TimeVaryingGraph:
 
     def in_edges(self, v: int) -> list[tuple[int, int]]:
         return self._radj[v]
+
+    def timeline(self) -> Timeline:
+        """The graph's :class:`Timeline`, built on first use: the graph is
+        immutable, so one build serves every journey search on it."""
+        if self._timeline is None:
+            self._timeline = _build_timeline(self)
+        return self._timeline
 
     def __eq__(self, other) -> bool:
         return (
@@ -185,6 +207,17 @@ class TimeVaryingGraph:
             f"lifetime=[{self.lifetime.start},{self.lifetime.end}), "
             f"{len(self.edges)} edges)"
         )
+
+
+def _build_timeline(g: TimeVaryingGraph) -> Timeline:
+    opening: dict[int, list[tuple[int, int, int]]] = {}
+    closing: dict[int, list[tuple[int, int, int]]] = {}
+    for ei, (e, p) in enumerate(zip(g.edges, g.presence)):
+        arcs = [(e.u, ei, e.v)] if g.directed else [(e.u, ei, e.v), (e.v, ei, e.u)]
+        for a, b in p.intervals:
+            opening.setdefault(a, []).extend(arcs)
+            closing.setdefault(b - 1, []).extend(arcs)
+    return Timeline(sorted(opening.keys() | closing.keys()), opening, closing)
 
 
 def _edge_key(item):

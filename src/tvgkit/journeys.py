@@ -7,16 +7,21 @@ latency), so several hops may happen at the same instant; pass
 
 Three distance notions follow: shortest (fewest hops), foremost (earliest
 arrival after a start time) and fastest (smallest arrival minus departure).
+Shortest is a pruned hop-by-hop search, foremost an earliest-arrival
+search and fastest one time-forward pass over the critical times at or
+after the start time, with one label per node (see ``fastest_distance``).
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
+from itertools import chain, islice
 from operator import add
 from typing import Iterable, Optional
 
-from .core import PresenceSet, TimeVaryingGraph
+from .core import TimeVaryingGraph
 
 KINDS = ("shortest", "foremost", "fastest")
 
@@ -66,15 +71,12 @@ def is_journey(g: TimeVaryingGraph, steps: Iterable[Step], strict: bool = False)
     return True
 
 
-def _earliest_arrival(g: TimeVaryingGraph, u: int, t: int, strict: bool = False, dominance=None):
+def _earliest_arrival(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
     """Earliest-arrival relaxation from ``u`` with first crossing >= ``t``.
 
     Returns (arrival, pred) where arrival[v] is the minimal last-crossing
     time of a journey u->v departing >= t (arrival[u] = t), and pred[v] is
-    the (prev node, edge index, crossing time) of one witness.  Given a
-    ``dominance`` map (node -> earliest arrival of some later departure), a
-    node settled no earlier than its entry is not expanded, so nodes beyond
-    it may arrive late; every other settled node lowers its entry.
+    the (prev node, edge index, crossing time) of one witness.
     """
     arrival = {u: t}
     ready = {u: t}
@@ -82,14 +84,10 @@ def _earliest_arrival(g: TimeVaryingGraph, u: int, t: int, strict: bool = False,
     heap = [(t, u)]
     done: set[int] = set()
     while heap:
-        a, x = heapq.heappop(heap)
+        _, x = heapq.heappop(heap)
         if x in done:
             continue
         done.add(x)
-        if dominance is not None:
-            if dominance.get(x, a + 1) <= a:
-                continue
-            dominance[x] = a
         lb = ready[x]
         for ei, y in g.out_edges(x):
             if y in done:
@@ -156,6 +154,18 @@ def shortest_distance(
     return _layered_states(g, u, t, strict)[0]
 
 
+def _critical_ticks(g: TimeVaryingGraph, t: int, before: int, after: int):
+    """Ascending ticks of ``[t, end)`` at most ``before`` ticks before or
+    ``after`` ticks after ``t`` or a critical time at or after ``t``."""
+    times = g.timeline()[0]
+    last = g.lifetime.end - 1
+    nxt = t
+    for c in chain((t,), islice(times, bisect.bisect_right(times, t), None)):
+        hi = min(c + after, last)
+        yield from range(max(c - before, nxt), hi + 1)
+        nxt = max(nxt, hi + 1)
+
+
 def _departure_candidates(g: TimeVaryingGraph, t: int, strict: bool = False) -> list[int]:
     """Times at which an optimal fastest journey may depart.
 
@@ -164,36 +174,61 @@ def _departure_candidates(g: TimeVaryingGraph, t: int, strict: bool = False) -> 
     ordering forces one tick per hop, so each critical time also spawns
     candidates shifted earlier by up to n-1 ticks.
     """
-    base = set()
-    for p in g.presence:
-        for a, b in p.intervals:
-            base.add(a)
-            base.add(b - 1)
-    cand = {t}
-    shifts = range(g.n) if strict else (0,)
-    for c in base:
-        for j in shifts:
-            if c - j >= t:
-                cand.add(c - j)
-    return sorted(cand)
+    return list(_critical_ticks(g, t, g.n - 1 if strict else 0, 0))
 
 
-def _fastest_sweep(g: TimeVaryingGraph, u: int, cands: list[int], strict: bool = False):
-    """(dur, preds) of ``fastest_distance`` over the departures ``cands``;
-    preds[v] is the predecessor map of the search that achieved dur[v]."""
-    leaving = PresenceSet(iv for ei, _ in g.out_edges(u) for iv in g.presence[ei].intervals)
+def _fastest_flood(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
+    """(dur, witness) of ``fastest_distance``: witness[v] is the record
+    ``(record of the last relay, edge index, crossing time)`` of a fastest
+    journey to v; the record of the source is None."""
+    _, opening, closing = g.timeline()
+    # present[x]: {edge: head} of the arcs out of x present at the current tick
+    if t > g.lifetime.start:
+        on = [t in p for p in g.presence]
+        present = [{ei: y for ei, y in g.out_edges(x) if on[ei]} for x in range(g.n)]
+    else:  # every interval open at t starts at t, and the first tick opens it
+        present = [{} for _ in range(g.n)]
+    label = [t - 1] * g.n  # latest departure reaching each node; t - 1: none yet
+    rec: list[Optional[tuple]] = [None] * g.n
     dur = {u: 0}
-    preds: dict[int, dict] = {}
-    dominance: dict[int, int] = {}
-    for s in reversed(cands):
-        if s not in leaving:
-            continue
-        arrival, pred = _earliest_arrival(g, u, s, strict, dominance)
-        for v, a in arrival.items():
-            if v != u and a - s <= dur.get(v, a - s):  # <=: latest first
-                dur[v] = a - s
-                preds[v] = pred
-    return dur, preds
+    witness: dict[int, tuple] = {}
+    # the strict hops of a journey between two critical times can move to
+    # just after the earlier one or just before the later one; after the
+    # last interval start, to just after it, so nothing improves later
+    hops = g.n - 1 if strict else 0
+    horizon = max([t, *opening]) + hops
+    waiting: list[int] = []  # strict: raised at the last visited tick
+    for s in _critical_ticks(g, t, hops, hops):
+        if s > horizon:
+            break
+        label[u] = s
+        seeds = {u, *waiting}
+        for x, ei, y in opening.get(s, ()):
+            present[x][ei] = y
+            if label[x] > label[y]:
+                seeds.add(x)
+        # max-first, so a node rises at most once per tick; the (label,
+        # node) pairs are distinct, so records are never compared
+        waiting = []
+        for d, x, r in sorted(((label[x], x, rec[x]) for x in seeds), reverse=True):
+            if d < label[x] and not strict:
+                continue  # x rose since; strict crosses with its old label
+            queue = [(x, r)]
+            for x, r in queue:  # grows as it goes: breadth-first
+                for ei, y in present[x].items():
+                    if label[y] < d:
+                        label[y] = d
+                        rec[y] = ry = (r, ei, s)
+                        if y not in dur or s - d < dur[y]:
+                            dur[y] = s - d
+                            witness[y] = ry
+                        if strict:
+                            waiting.append(y)
+                        else:
+                            queue.append((y, ry))
+        for x, ei, _ in closing.get(s, ()):
+            del present[x][ei]
+    return dur, witness
 
 
 def fastest_distance(
@@ -201,16 +236,20 @@ def fastest_distance(
 ) -> dict[int, int]:
     """Minimal journey duration (arrival - departure) per reachable node.
 
-    One earliest-arrival search per departure candidate, latest first.  A
-    node settled no earlier than a later departure reached it is not
-    expanded: that departure reaches everything beyond it no later, with a
-    shorter duration.  A candidate at which no out-edge of ``u`` is present
-    is skipped, as a later candidate makes the same first crossing.  Ties
-    go to the earliest departure.
+    One pass over the critical times at or after ``t`` (``t``, interval
+    starts and interval last ticks; strict mode adds the ticks within n-1
+    of them).  Each node keeps the latest departure of a journey that has
+    reached it so far; at each time the source departs, newly opened
+    intervals join, and labels spread over the present edges until nothing
+    changes (strict: one hop per tick).  A node whose label rises to d at
+    time s has a journey of duration s - d; the first time a duration is
+    reached it goes with the earliest departure, which wins ties.  No
+    duration improves after the last interval start (strict: n-1 ticks
+    later), so the pass stops there.
     """
     _check_time(g, t)
     _check_node(g, u)
-    return _fastest_sweep(g, u, _departure_candidates(g, t, strict), strict)[0]
+    return _fastest_flood(g, u, t, strict)[0]
 
 
 def temporal_view(
@@ -261,8 +300,9 @@ def witness_journey(
     """One journey achieving the ``kind`` distance from u to v at t, or None.
 
     Shortest walks back from the hop at which v first enters the pruned
-    layers; fastest from the earliest departure of minimal duration in the
-    latest-first sweep of ``fastest_distance``.
+    layers; fastest unwinds the record that the pass of
+    ``fastest_distance`` kept when v first reached its duration, so it
+    departs at the earliest departure of any fastest journey.
     """
     _check_time(g, t)
     _check_kind(kind)
@@ -276,8 +316,14 @@ def witness_journey(
     if kind == "shortest":
         dist, pred = _layered_states(g, u, t, strict)
         return _walk_back(pred, (0, u), (dist[v], v)) if v in dist else None
-    _, preds = _fastest_sweep(g, u, _departure_candidates(g, t, strict), strict)
-    return _walk_back(preds[v], u, v) if v in preds else None
+    r = _fastest_flood(g, u, t, strict)[1].get(v)
+    if r is None:
+        return None
+    steps = []
+    while r is not None:
+        r, ei, tp = r
+        steps.append((ei, tp))
+    return steps[::-1]
 
 
 def distance_map(
@@ -347,9 +393,8 @@ def minimal_route_counts(
     _check_node(g, u)
     n = g.n
     if kind == "fastest":
-        cands = _departure_candidates(g, t, strict)
-        limit = max(_fastest_sweep(g, u, cands, strict)[0].values())
-        start = tuple((None, s) for s in cands)
+        limit = max(_fastest_flood(g, u, t, strict)[0].values())
+        start = tuple((None, s) for s in _departure_candidates(g, t, strict))
     else:
         start = t
         reached = {u: t}  # shortest: least bound per node over earlier hops

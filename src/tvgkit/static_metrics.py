@@ -13,8 +13,9 @@ Conventions worth knowing:
   enter and leave the window; a footprint built on its own counts the links
   once from its neighbour bitmasks, visiting each undirected edge once.
 * ``average_modularity`` adds the pair terms left to right in
-  ``itertools.combinations`` order, so its float does not depend on the
-  interpreter (``sum()`` of floats is compensated from Python 3.12 on).
+  ``itertools.combinations`` order, and ``powerlaw_exponent`` its log terms
+  in degree order, so their floats do not depend on the interpreter
+  (``sum()`` of floats is compensated from Python 3.12 on).
 * Values undefined on a given footprint come back as NaN, never an error,
   except where a size limit is deliberately enforced (``graph_conductance``).
 """
@@ -24,6 +25,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -129,7 +132,7 @@ def powerlaw_exponent(degrees: Sequence[int], k_min: int = 1) -> float:
             stacklevel=2,
         )
         return math.nan
-    s = sum(math.log(k / (k_min - 0.5)) for k in ks)
+    s = reduce(add, (math.log(k / (k_min - 0.5)) for k in ks), 0.0)
     return 1.0 + len(ks) / s
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from . import windows
 from .core import TimeVaryingGraph
@@ -125,12 +127,13 @@ def _reduce(values: list[float], reducer: str) -> float:
         return math.nan
     if any(math.isinf(v) for v in finite):
         return math.inf
-    if reducer == "mean":
-        return sum(finite) / len(finite)
     if reducer == "max":
         return max(finite)
-    mean = sum(finite) / len(finite)
-    return math.sqrt(sum((v - mean) ** 2 for v in finite) / len(finite))
+    # left to right: ``sum()`` of floats is compensated from Python 3.12 on
+    mean = reduce(add, finite, 0.0) / len(finite)
+    if reducer == "mean":
+        return mean
+    return math.sqrt(reduce(add, ((v - mean) ** 2 for v in finite), 0.0) / len(finite))
 
 
 # Window evaluators of ``windows.evolve_many``, which checks their arguments:

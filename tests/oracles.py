@@ -119,6 +119,23 @@ def oracle_distances(g, u, t, strict=False):
     return {"shortest": shortest, "foremost": foremost, "fastest": fastest}
 
 
+def oracle_fastest_departures(g, u, t, strict=False):
+    """Per node v != u reachable from u: (fastest duration, earliest
+    departure among the journeys with that duration), trying every
+    departure >= t on every simple route (cutting a cycle out of a fastest
+    journey keeps its departure and its arrival)."""
+    best = {}
+    for route, v in iter_simple_routes(g, u):
+        for f in presence_times(g, route[0], t):
+            rest = greedy_crossings(g, route[1:], f + 1 if strict else f, strict)
+            if rest is None:
+                continue
+            key = ((rest[-1] if rest else f) - f, f)
+            if v not in best or key < best[v]:
+                best[v] = key
+    return best
+
+
 def walk_measure(g, route, t, kind, strict=False):
     """Hops, arrival delay after t or best duration of a feasible walk."""
     if kind == "shortest":

@@ -23,6 +23,7 @@ from oracles import (
     greedy_crossings,
     iter_feasible_walks,
     oracle_distances,
+    oracle_fastest_departures,
     oracle_route_count,
     random_always_on_tvg,
     random_tvg,
@@ -172,6 +173,30 @@ class TestFastest:
         g = tvg([(0, 1, 0, 1), (0, 1, 5, 6), (1, 2, 0, 1), (1, 2, 5, 6)])
         assert fastest_distance(g, 0, 0)[2] == 0
         assert witness_journey(g, 0, 2, 0, "fastest") == [(0, 0), (1, 0)]
+
+    def test_later_departure_overtakes_an_earlier_one(self):
+        # departing at 9 reaches 2..5 at 9; departing at 0 reaches 2 no earlier
+        chain = [(i, i + 1, 9, 10) for i in range(1, 5)]
+        g = tvg([(0, 1, 0, 10)] + chain, n=6)
+        assert fastest_distance(g, 0, 0) == {v: 0 for v in range(6)}
+        assert witness_journey(g, 0, 5, 0, "fastest")[0][1] == 9
+
+    def test_strict_hops_next_to_critical_times(self):
+        # strict hops on a link open for long cross just before the next
+        # critical time (leave at 8, not 0) or just after the last (cross 1-2
+        # at 3): ticks that are neither t nor critical
+        late = tvg([(0, 1, 0, 10), (1, 2, 9, 10)])
+        assert fastest_distance(late, 0, 0, strict=True) == {0: 0, 1: 0, 2: 1}
+        assert witness_journey(late, 0, 2, 0, "fastest", strict=True) == [(0, 8), (1, 9)]
+        early = tvg([(0, 1, 2, 3), (1, 2, 0, 10)])
+        assert fastest_distance(early, 0, 0, strict=True) == {0: 0, 1: 0, 2: 1}
+        assert witness_journey(early, 0, 2, 0, "fastest", strict=True) == [(0, 2), (1, 3)]
+
+    def test_edgeless_graph_reaches_only_the_source(self):
+        g = tvg([], n=2)
+        for strict in (False, True):
+            assert fastest_distance(g, 0, 3, strict) == {0: 0}
+            assert witness_journey(g, 0, 1, 3, "fastest", strict) is None
 
     def test_fastest_at_most_foremost(self):
         rng = random.Random(41)
@@ -383,6 +408,47 @@ class TestWitness:
                 assert duration == expect["fastest"][v]
 
 
+@st.composite
+def shaped_cases(draw):
+    """(graph, source, start time) in shapes ``random_tvg`` does not make: a
+    lifetime away from 0, intervals spanning many critical times (and, in
+    strict mode, snapshots constant for more than n ticks), a start time
+    inside an interval or at its last tick, labelled parallel links."""
+    n = draw(st.integers(2, 5))
+    start = draw(st.integers(-30, 30))
+    length = draw(st.integers(2, 30))
+    events = []
+    for _ in range(draw(st.integers(1, 5))):
+        x, y = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        a = draw(st.integers(0, length - 1))
+        b = draw(st.one_of(st.just(a + 1), st.integers(a + 1, length)))
+        events.append((x, y, start + a, start + b, draw(st.sampled_from([None, "alt"]))))
+    g = build_tvg(n, draw(st.booleans()), Lifetime(start, start + length), events)
+    inside = [(a + b) // 2 for _, _, a, b, _ in events]
+    last = [b - 1 for _, _, _, b, _ in events]
+    t = draw(st.one_of(st.integers(start, start + length - 1), st.sampled_from(inside + last)))
+    return g, draw(st.integers(0, n - 1)), t
+
+
+class TestFastestFlood:
+    @settings(max_examples=300, deadline=None)
+    @given(case=shaped_cases(), strict=st.booleans())
+    def test_matches_oracle_and_departs_earliest(self, case, strict):
+        g, u, t = case
+        expect = oracle_fastest_departures(g, u, t, strict)
+        d = fastest_distance(g, u, t, strict)
+        assert d == oracle_distances(g, u, t, strict)["fastest"]
+        assert d == {u: 0, **{v: dur for v, (dur, _) in expect.items()}}
+        for v in range(g.n):
+            steps = witness_journey(g, u, v, t, "fastest", strict)
+            if v == u or v not in expect:
+                assert steps == ([] if v == u else None)
+                continue
+            assert is_journey(g, steps, strict=strict)
+            assert walk_end(g, u, steps) == v
+            assert (steps[-1][1] - steps[0][1], steps[0][1]) == expect[v]
+
+
 class TestSearchWork:
     """Presence-query counts (not timings) of the pruned searches."""
 
@@ -415,15 +481,6 @@ class TestSearchWork:
         assert fastest_distance(g, 0, 0) == oracle_distances(g, 0, 0)["fastest"]
         source_link = g.presence[g.out_edges(0)[0][0]]
         assert sum(p is source_link for p in queried) <= 2
-
-    def test_fastest_does_not_expand_nodes_a_later_departure_reached(self, queried):
-        # departing at 9 reaches 2..5 at 9; departing at 0 reaches 2 no
-        # earlier, so the chain beyond 2 is searched once, not twice
-        chain = [(i, i + 1, 9, 10) for i in range(1, 5)]
-        g = tvg([(0, 1, 0, 10)] + chain, n=6)
-        assert fastest_distance(g, 0, 0) == {v: 0 for v in range(6)}
-        beyond = [p for e, p in zip(g.edges, g.presence) if min(e.u, e.v) >= 2]
-        assert sum(p is q for p in queried for q in beyond) == len(beyond)
 
 
 class TestFootprintSeparation:

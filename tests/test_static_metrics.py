@@ -253,6 +253,16 @@ class TestPowerlaw:
         expected = 1 + 20 / sum(math.log(k / 0.5) for k in degrees)
         assert powerlaw_exponent(degrees) == pytest.approx(expected)
 
+    def test_sums_log_terms_left_to_right(self):
+        # a compensated sum (Python >= 3.12 ``sum``, ``math.fsum``) differs here
+        degrees = [5, 8, 11, 11, 12, 16, 18, 19, 23, 40]
+        terms = [math.log(k / 0.5) for k in degrees]
+        total = 0.0
+        for x in terms:
+            total += x
+        assert 1 + 10 / math.fsum(terms) != 1 + 10 / total
+        assert powerlaw_exponent(degrees) == 1 + 10 / total
+
     def test_zero_degrees_excluded(self):
         degrees = [0] * 5 + [1, 2, 3, 1, 1, 2, 4, 1, 1, 2]
         assert powerlaw_exponent(degrees) == pytest.approx(

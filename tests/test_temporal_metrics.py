@@ -4,9 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tvgkit import core
 from tvgkit.core import Lifetime, active_nodes, build_tvg, footprint, restrict_nodes
 from tvgkit.journeys import distance_map, minimal_route_counts
 from tvgkit.temporal_metrics import (
+    _reduce,
+    _window_closeness,
     diameter,
     eccentricity,
     eccentricity_report,
@@ -202,6 +205,48 @@ class TestBetweenness:
         ]
         assert sum(n * (n - 1) for n in active) > sum(active)
         assert sources == [u for n in active for u in range(n)]
+
+
+class TestTimelineBuilds:
+    """Timeline builds (counts, not timings): one per graph, not per source."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        graphs = []
+        build = core._build_timeline
+
+        def counting(g):
+            graphs.append(g)
+            return build(g)
+
+        monkeypatch.setattr(core, "_build_timeline", counting)
+        return graphs
+
+    CASES = {
+        "betweenness": lambda g: temporal_betweenness_all(g, 0, "fastest"),
+        "closeness": lambda g: _window_closeness(g, 0, "fastest", "mean", False),
+        "strict closeness": lambda g: _window_closeness(g, 0, "fastest", "mean", True),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_all_sources_of_a_window_share_one_timeline(self, built, case):
+        g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
+        self.CASES[case](g)
+        assert built == [g]
+
+    def test_one_timeline_per_window(self, built):
+        g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
+        series = evolve(g, WindowSpec(4), "closeness", kind="fastest")
+        assert len(built) == len(series.values) == 3
+        assert len(set(map(id, built))) == 3
+
+
+class TestReduce:
+    def test_sums_left_to_right(self):
+        # a compensated sum (Python >= 3.12 ``sum``, ``math.fsum``) gives 1/3
+        values = [1e16, 1.0, -1e16]
+        assert math.fsum(values) / 3 != 0.0
+        assert _reduce(values, "mean") == 0.0
 
 
 class TestCloseness:

@@ -441,6 +441,16 @@ class TestEvolveMany:
         n = len(windows_of(g.lifetime, spec))
         assert counts == {"footprint": n, "subgraph": n}
 
+    @pytest.mark.parametrize("node_policy", ["all", "active"])
+    def test_static_indicators_build_no_timeline(self, monkeypatch, node_policy):
+        def no_timeline(g):
+            raise AssertionError("a static indicator built a timeline")
+
+        monkeypatch.setattr("tvgkit.core._build_timeline", no_timeline)
+        g = random_tvg(random.Random(4))
+        series = evolve_many(g, WindowSpec(4, 2), self.STATIC, node_policy)
+        assert any(v > 0 for v in series[0].values)
+
     def test_matches_evolve_float_for_float(self):
         names = windows.indicator_names()
         rng = random.Random(31)
