@@ -15,6 +15,8 @@ from itertools import chain, starmap
 from operator import eq
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Lifetime:
@@ -132,11 +134,16 @@ class Timeline(NamedTuple):
     starts or has its last tick; ``opening[a]`` and ``closing[a]`` list the
     arcs ``(tail, edge index, head)`` of the intervals starting at ``a`` and
     of those whose last tick is ``a`` (both directions when undirected).
+    ``arcs[i]`` is the arc of interval ``[starts[i], ends[i])``; the table
+    lists every interval of every arc, in edge order.
     """
 
     times: list[int]
     opening: dict[int, list[tuple[int, int, int]]]
     closing: dict[int, list[tuple[int, int, int]]]
+    arcs: list[tuple[int, int, int]]
+    starts: np.ndarray
+    ends: np.ndarray
 
 
 class TimeVaryingGraph:
@@ -212,12 +219,21 @@ class TimeVaryingGraph:
 def _build_timeline(g: TimeVaryingGraph) -> Timeline:
     opening: dict[int, list[tuple[int, int, int]]] = {}
     closing: dict[int, list[tuple[int, int, int]]] = {}
+    table: list[tuple[int, int, int]] = []
+    starts: list[int] = []
+    ends: list[int] = []
     for ei, (e, p) in enumerate(zip(g.edges, g.presence)):
         arcs = [(e.u, ei, e.v)] if g.directed else [(e.u, ei, e.v), (e.v, ei, e.u)]
         for a, b in p.intervals:
             opening.setdefault(a, []).extend(arcs)
             closing.setdefault(b - 1, []).extend(arcs)
-    return Timeline(sorted(opening.keys() | closing.keys()), opening, closing)
+            table += arcs
+            starts += [a] * len(arcs)
+            ends += [b] * len(arcs)
+    return Timeline(
+        sorted(opening.keys() | closing.keys()), opening, closing, table,
+        np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64),
+    )
 
 
 def _edge_key(item):
@@ -426,8 +442,10 @@ def build_tvg(
 
 def presence(g: TimeVaryingGraph, e: int, t: int) -> bool:
     """Whether edge ``e`` (by index) is present at instant ``t``."""
+    if not 0 <= e < len(g.edges):
+        raise ValueError(f"edge {e} outside [0,{len(g.edges)})")
     if t not in g.lifetime:
-        raise ValueError(f"t={t} outside lifetime")
+        raise ValueError(f"t={t} outside lifetime [{g.lifetime.start},{g.lifetime.end})")
     return t in g.presence[e]
 
 

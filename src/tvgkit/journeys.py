@@ -10,6 +10,9 @@ arrival after a start time) and fastest (smallest arrival minus departure).
 Shortest is a pruned hop-by-hop search, foremost an earliest-arrival
 search and fastest one time-forward pass over the critical times at or
 after the start time, with one label per node (see ``fastest_distance``).
+The pass takes the arcs present at the start time from the graph's
+interval table, built with its timeline.  A distance search stops once
+every node is settled, a witness search once its target is.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ import math
 from itertools import chain, islice
 from operator import add
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .core import TimeVaryingGraph
 
@@ -71,12 +76,16 @@ def is_journey(g: TimeVaryingGraph, steps: Iterable[Step], strict: bool = False)
     return True
 
 
-def _earliest_arrival(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
+def _earliest_arrival(
+    g: TimeVaryingGraph, u: int, t: int, strict: bool = False, target: Optional[int] = None
+):
     """Earliest-arrival relaxation from ``u`` with first crossing >= ``t``.
 
     Returns (arrival, pred) where arrival[v] is the minimal last-crossing
     time of a journey u->v departing >= t (arrival[u] = t), and pred[v] is
-    the (prev node, edge index, crossing time) of one witness.
+    the (prev node, edge index, crossing time) of one witness.  The search
+    stops once every node is settled, or once ``target`` is: then only its
+    entries and those of its witness are final.
     """
     arrival = {u: t}
     ready = {u: t}
@@ -88,6 +97,8 @@ def _earliest_arrival(g: TimeVaryingGraph, u: int, t: int, strict: bool = False)
         if x in done:
             continue
         done.add(x)
+        if x == target or len(done) == g.n:
+            break
         lb = ready[x]
         for ei, y in g.out_edges(x):
             if y in done:
@@ -113,14 +124,18 @@ def foremost_distance(
     return {v: a - t for v, a in arrival.items()}
 
 
-def _layered_states(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
+def _layered_states(
+    g: TimeVaryingGraph, u: int, t: int, strict: bool = False, target: Optional[int] = None
+):
     """Hop-by-hop search for the least next-crossing bound at each node.
 
     At hop h a state ``(y, r)`` is dropped when an earlier hop reached y
     with a bound <= r: every continuation is then available in fewer hops.
     So the first hop at which a node enters is its shortest distance.
     Returns (dist, pred): dist[x] -> that hop; pred[(h, x)] -> ((h - 1,
-    x_prev), edge, crossing time) of a witness route of length h.
+    x_prev), edge, crossing time) of a witness route of length h.  The
+    search stops after the hop at which every node, or ``target``, has
+    entered: later hops only add routes longer than any distance read.
     """
     reached = {u: t}  # least bound per node over the hops so far
     dist = {u: 0}
@@ -140,7 +155,7 @@ def _layered_states(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
         frontier = {y: r for y, r in nxt.items() if r < reached.get(y, math.inf)}
         reached.update(frontier)
         dist.update((y, h) for y in sorted(frontier) if y not in dist)
-        if not frontier:
+        if not frontier or target in dist or len(dist) == g.n:
             break
     return dist, pred
 
@@ -181,13 +196,15 @@ def _fastest_flood(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
     """(dur, witness) of ``fastest_distance``: witness[v] is the record
     ``(record of the last relay, edge index, crossing time)`` of a fastest
     journey to v; the record of the source is None."""
-    _, opening, closing = g.timeline()
-    # present[x]: {edge: head} of the arcs out of x present at the current tick
+    _, opening, closing, arcs, starts, ends = g.timeline()
+    # present[x]: {edge: head} of the arcs out of x present at the current
+    # tick, in edge order; at the lifetime start every interval open at t
+    # starts at t, and the first tick opens it
+    present: list[dict[int, int]] = [{} for _ in range(g.n)]
     if t > g.lifetime.start:
-        on = [t in p for p in g.presence]
-        present = [{ei: y for ei, y in g.out_edges(x) if on[ei]} for x in range(g.n)]
-    else:  # every interval open at t starts at t, and the first tick opens it
-        present = [{} for _ in range(g.n)]
+        for i in np.flatnonzero((starts <= t) & (t < ends)).tolist():
+            x, ei, y = arcs[i]
+            present[x][ei] = y
     label = [t - 1] * g.n  # latest departure reaching each node; t - 1: none yet
     rec: list[Optional[tuple]] = [None] * g.n
     dur = {u: 0}
@@ -269,6 +286,8 @@ def temporal_view(
         neg, y = heapq.heappop(heap)
         if y in done:
             continue
+        if y == u:
+            return latest[u]  # settled: no later pop departs later
         done.add(y)
         cap = latest[y]
         if strict and y != v:
@@ -282,7 +301,7 @@ def temporal_view(
             if x not in latest or tp > latest[x]:
                 latest[x] = tp
                 heapq.heappush(heap, (-tp, x))
-    return latest.get(u)
+    return None
 
 
 def _walk_back(pred: dict, src, dst) -> list[Step]:
@@ -300,9 +319,11 @@ def witness_journey(
     """One journey achieving the ``kind`` distance from u to v at t, or None.
 
     Shortest walks back from the hop at which v first enters the pruned
-    layers; fastest unwinds the record that the pass of
-    ``fastest_distance`` kept when v first reached its duration, so it
-    departs at the earliest departure of any fastest journey.
+    layers, and foremost from v's earliest arrival; both searches stop
+    once v is settled, which leaves its witness as the full search has
+    it.  Fastest unwinds the record that the pass of ``fastest_distance``
+    kept when v first reached its duration, so it departs at the earliest
+    departure of any fastest journey.
     """
     _check_time(g, t)
     _check_kind(kind)
@@ -311,10 +332,10 @@ def witness_journey(
     if u == v:
         return []
     if kind == "foremost":
-        pred = _earliest_arrival(g, u, t, strict)[1]
+        pred = _earliest_arrival(g, u, t, strict, v)[1]
         return _walk_back(pred, u, v) if v in pred else None
     if kind == "shortest":
-        dist, pred = _layered_states(g, u, t, strict)
+        dist, pred = _layered_states(g, u, t, strict, v)
         return _walk_back(pred, (0, u), (dist[v], v)) if v in dist else None
     r = _fastest_flood(g, u, t, strict)[1].get(v)
     if r is None:

@@ -119,8 +119,16 @@ class TestPresenceQuery:
 
     def test_outside_lifetime_rejected(self):
         g = simple_tvg([(0, 1, 0, 8)], n=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"t=10 outside lifetime \[0,10\)"):
             presence(g, 0, 10)
+
+    @pytest.mark.parametrize("e", [-1, 2], ids=["-1", "m"])
+    def test_out_of_range_edge_rejected(self, e):
+        # -1 would otherwise read the last edge's presence
+        g = simple_tvg([(0, 1, 0, 8), (0, 1, 2, 4, "alt")], n=2)
+        assert len(g.edges) == 2
+        with pytest.raises(ValueError, match=rf"edge {e} outside \[0,2\)"):
+            presence(g, e, 3)
 
 
 class TestFootprint:

@@ -4,9 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tvgkit import core
 from tvgkit.core import Lifetime, PresenceSet, build_tvg, footprint
 from tvgkit.journeys import (
     _departure_candidates,
+    _earliest_arrival,
+    _layered_states,
+    _walk_back,
     count_minimal_journeys,
     distance_map,
     fastest_distance,
@@ -407,6 +411,32 @@ class TestWitness:
                 duration = fast[-1][1] - fast[0][1] if fast else 0
                 assert duration == expect["fastest"][v]
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        directed=st.booleans(),
+        strict=st.booleans(),
+        kind=st.sampled_from(["shortest", "foremost"]),
+    )
+    def test_witness_search_stops_without_changing_the_witness(
+        self, seed, directed, strict, kind
+    ):
+        # a witness search stops once its target is settled; the full
+        # search's predecessor map must give the same journey
+        rng = random.Random(seed)
+        g = random_tvg(rng, n_max=7, e_max=12, horizon=10, directed=directed)
+        g = with_labelled_parallels(rng, g)
+        t = rng.randrange(g.lifetime.start, g.lifetime.end)
+        for u in range(g.n):
+            if kind == "shortest":
+                dist, pred = _layered_states(g, u, t, strict)
+                full = {v: _walk_back(pred, (0, u), (h, v)) for v, h in dist.items()}
+            else:
+                pred = _earliest_arrival(g, u, t, strict)[1]
+                full = {v: _walk_back(pred, u, v) for v in pred}
+            for v in range(g.n):
+                assert witness_journey(g, u, v, t, kind, strict) == full.get(v)
+
 
 @st.composite
 def shaped_cases(draw):
@@ -470,7 +500,41 @@ class TestSearchWork:
         assert shortest_distance(g, 0, 0) == {i: i for i in range(n)}
         assert len(queried) <= 2 * (n - 1)
 
-    def test_fastest_expands_a_one_tick_source_at_most_twice(self, queried):
+    def test_shortest_witness_stops_at_its_target(self, queried):
+        n = 30
+        g = tvg([(i, i + 1, 0, 10) for i in range(n - 1)], n=n)
+        assert witness_journey(g, 0, 1, 0, "shortest") == [(0, 0)]
+        assert len(queried) <= 2
+
+    def test_shortest_stops_once_every_node_has_its_hop(self, queried):
+        # every node enters at hop 1, but 1-2 still lowers node 2's bound
+        # from 8 to 0 at hop 2, which no distance reads
+        g = tvg([(0, 1, 0, 1), (0, 2, 8, 9), (1, 2, 0, 10)])
+        assert shortest_distance(g, 0, 0) == {0: 0, 1: 1, 2: 1}
+        assert len(queried) == len(g.out_edges(0))
+
+    def test_foremost_witness_expands_only_until_its_target(self, queried):
+        # node 1 is settled first; expanding it would query 1-2
+        g = tvg([(0, 1, 0, 10), (0, 2, 5, 10), (1, 2, 0, 10), (2, 3, 0, 10)], n=4)
+        assert witness_journey(g, 0, 1, 0, "foremost") == [(0, 0)]
+        assert len(queried) == len(g.out_edges(0))
+
+    def test_temporal_view_stops_once_its_source_is_settled(self, monkeypatch):
+        calls = []
+        latest_at_or_before = PresenceSet.latest_at_or_before
+
+        def counting(p, t):
+            calls.append(p)
+            return latest_at_or_before(p, t)
+
+        monkeypatch.setattr(PresenceSet, "latest_at_or_before", counting)
+        # 0 reaches 3 directly at 9, later than any relay; expanding 0, 1 or
+        # 2 would query the 0-1 and 1-2 links
+        g = tvg([(0, 1, 0, 10), (0, 3, 0, 10), (1, 2, 0, 10), (1, 3, 0, 5), (2, 3, 0, 3)], n=4)
+        assert temporal_view(g, 0, 3, 9) == 9
+        assert len(calls) == len(g.in_edges(3))
+
+    def test_fastest_from_a_later_start_queries_no_presence_set(self, monkeypatch):
         # the source's only link is present at tick 5; the 1-2-3 links
         # open and close often, which makes many departure candidates
         events = [(0, 1, 5, 6)]
@@ -479,8 +543,19 @@ class TestSearchWork:
         g = tvg(events, n=4, end=30)
         assert len(_departure_candidates(g, 0)) >= 10
         assert fastest_distance(g, 0, 0) == oracle_distances(g, 0, 0)["fastest"]
-        source_link = g.presence[g.out_edges(0)[0][0]]
-        assert sum(p is source_link for p in queried) <= 2
+        starts = (3, 5, 13, 14)
+        expect = [oracle_distances(g, u, t)["fastest"] for t in starts for u in range(g.n)]
+
+        contains, built = [], []
+        member, build = PresenceSet.__contains__, core._build_timeline
+        monkeypatch.setattr(
+            PresenceSet, "__contains__", lambda p, t: contains.append(p) or member(p, t)
+        )
+        monkeypatch.setattr(core, "_build_timeline", lambda g: built.append(g) or build(g))
+        g = tvg(events, n=4, end=30)
+        assert [fastest_distance(g, u, t) for t in starts for u in range(g.n)] == expect
+        assert contains == []
+        assert built == [g]
 
 
 class TestFootprintSeparation:
