@@ -1,9 +1,9 @@
 """tvgkit: time-varying graph analytics.
 
 Builds on a presence-interval TVG model: journeys and the three temporal
-distances (shortest / foremost / fastest), windowed footprint and
-temporal-subgraph sequences, and both atemporal and temporal
-social-network indicators evaluated per window.
+distances (shortest / foremost / fastest), footprints and temporal
+subgraphs, and both atemporal and temporal social-network indicators
+evaluated per window by ``evolve`` / ``evolve_many``.
 """
 
 from .core import (
@@ -45,7 +45,6 @@ from .temporal_metrics import (
     temporal_betweenness,
     temporal_betweenness_all,
     temporal_closeness,
-    temporal_series,
 )
 from .trace_io import parse_trace, write_trace
 from .synth import generate_trace
@@ -55,7 +54,6 @@ from .windows import (
     evolve,
     evolve_many,
     footprint_sequence,
-    tvg_sequence,
     windows_of,
 )
 

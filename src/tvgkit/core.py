@@ -170,15 +170,15 @@ class TimeVaryingGraph:
         self.lifetime = lifetime
         self.edges = tuple(edges)
         self.presence = tuple(presence)
-        # out-adjacency (both directions for undirected) and in-adjacency
+        # out- and in-adjacency; undirected, one list with both directions
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        radj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        radj = [[] for _ in range(n)] if directed else adj
         for i, e in enumerate(self.edges):
             adj[e.u].append((i, e.v))
-            radj[e.v].append((i, e.u))
-            if not directed:
+            if directed:
+                radj[e.v].append((i, e.u))
+            else:
                 adj[e.v].append((i, e.u))
-                radj[e.u].append((i, e.v))
         self._adj = adj
         self._radj = radj
         self._timeline: Optional[Timeline] = None
@@ -244,9 +244,9 @@ def _edge_key(item):
 class Footprint:
     """Static aggregation of a TVG over a window ``[t1, t2)``.
 
-    ``nodes`` is the node universe used as |V| by the indicator formulas;
-    it is the full node set by default and may be restricted to active
-    nodes (see :meth:`restrict_to_active`).
+    ``nodes`` is the node universe used as |V| by the indicator formulas:
+    the full node set for ``footprint``, or the active nodes (see
+    :func:`active_nodes`) under the windowed sweep's ``active`` policy.
 
     In the undirected view, :meth:`degrees` and :meth:`links` give per
     node its neighbour count and the number of edges among its neighbours
@@ -372,15 +372,10 @@ class Footprint:
         return self._links
 
     def neighbors(self, x: int) -> set[int]:
-        """Neighbour set of ``x``; kept for API compatibility, the indicators
-        read :meth:`degrees` and :meth:`links`."""
+        """Neighbour set of ``x`` in the undirected view."""
         self._check_node(x)
         b = self.adjacency()[self.nodes.index(x)]
         return {y for i, y in enumerate(self.nodes) if b >> i & 1}
-
-    def restrict_to_active(self) -> "Footprint":
-        """Footprint whose node universe is its active-node set."""
-        return Footprint(active_nodes(self), self.directed, self.edges, self.window)
 
     def __eq__(self, other):
         return (
@@ -440,21 +435,29 @@ def build_tvg(
     return TimeVaryingGraph(n, directed, lifetime, edges, presence)
 
 
+def _check_time(g: TimeVaryingGraph, t: int) -> None:
+    if t not in g.lifetime:
+        raise ValueError(f"t={t} outside lifetime [{g.lifetime.start},{g.lifetime.end})")
+
+
+def _check_window(g: TimeVaryingGraph, t1: int, t2: int) -> None:
+    if t1 >= t2:
+        raise ValueError(f"empty or inverted window [{t1}, {t2})")
+    if t1 < g.lifetime.start or t2 > g.lifetime.end:
+        raise ValueError(f"window [{t1},{t2}) outside lifetime")
+
+
 def presence(g: TimeVaryingGraph, e: int, t: int) -> bool:
     """Whether edge ``e`` (by index) is present at instant ``t``."""
     if not 0 <= e < len(g.edges):
         raise ValueError(f"edge {e} outside [0,{len(g.edges)})")
-    if t not in g.lifetime:
-        raise ValueError(f"t={t} outside lifetime [{g.lifetime.start},{g.lifetime.end})")
+    _check_time(g, t)
     return t in g.presence[e]
 
 
 def footprint(g: TimeVaryingGraph, t1: int, t2: int) -> Footprint:
     """Static graph of edges present at least once during ``[t1, t2)``."""
-    if t1 >= t2:
-        raise ValueError(f"empty or inverted window [{t1}, {t2})")
-    if t1 < g.lifetime.start or t2 > g.lifetime.end:
-        raise ValueError(f"window [{t1},{t2}) outside lifetime")
+    _check_window(g, t1, t2)
     pairs = [
         (e.u, e.v)
         for e, p in zip(g.edges, g.presence)
@@ -465,10 +468,7 @@ def footprint(g: TimeVaryingGraph, t1: int, t2: int) -> Footprint:
 
 def temporal_subgraph(g: TimeVaryingGraph, t1: int, t2: int) -> TimeVaryingGraph:
     """TVG restricted to lifetime ``[t1, t2)``; edges never present there are dropped."""
-    if t1 >= t2:
-        raise ValueError(f"empty or inverted window [{t1}, {t2})")
-    if t1 < g.lifetime.start or t2 > g.lifetime.end:
-        raise ValueError(f"window [{t1},{t2}) outside lifetime")
+    _check_window(g, t1, t2)
     edges = []
     presence_sets = []
     for e, p in zip(g.edges, g.presence):

@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .core import TimeVaryingGraph
+from .core import TimeVaryingGraph, _check_time
 
 KINDS = ("shortest", "foremost", "fastest")
 
@@ -36,11 +36,6 @@ Step = tuple[int, int]  # (edge index, crossing time)
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown distance kind {kind!r}")
-
-
-def _check_time(g: TimeVaryingGraph, t: int) -> None:
-    if t not in g.lifetime:
-        raise ValueError(f"t={t} outside lifetime [{g.lifetime.start},{g.lifetime.end})")
 
 
 def _check_node(g: TimeVaryingGraph, u: int) -> None:
@@ -179,17 +174,6 @@ def _critical_ticks(g: TimeVaryingGraph, t: int, before: int, after: int):
         hi = min(c + after, last)
         yield from range(max(c - before, nxt), hi + 1)
         nxt = max(nxt, hi + 1)
-
-
-def _departure_candidates(g: TimeVaryingGraph, t: int, strict: bool = False) -> list[int]:
-    """Times at which an optimal fastest journey may depart.
-
-    Interval starts cover waiting for an edge to open; interval last ticks
-    cover leaving as late as possible before an edge closes.  Strict
-    ordering forces one tick per hop, so each critical time also spawns
-    candidates shifted earlier by up to n-1 ticks.
-    """
-    return list(_critical_ticks(g, t, g.n - 1 if strict else 0, 0))
 
 
 def _fastest_flood(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
@@ -415,7 +399,10 @@ def minimal_route_counts(
     n = g.n
     if kind == "fastest":
         limit = max(_fastest_flood(g, u, t, strict)[0].values())
-        start = tuple((None, s) for s in _departure_candidates(g, t, strict))
+        # optimal fastest journeys depart at interval starts (waiting for an
+        # edge) or last ticks (leaving just before one closes); strict ordering
+        # forces one tick per hop, so each also shifts earlier by up to n - 1
+        start = tuple((None, s) for s in _critical_ticks(g, t, n - 1 if strict else 0, 0))
     else:
         start = t
         reached = {u: t}  # shortest: least bound per node over earlier hops

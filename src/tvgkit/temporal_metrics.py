@@ -13,17 +13,8 @@ from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
-from . import windows
-from .core import TimeVaryingGraph
-from .journeys import (
-    KINDS,
-    _check_kind,
-    _check_node,
-    _check_time,
-    distance_map,
-    minimal_route_counts,
-)
-from .windows import IndicatorSeries, WindowSpec
+from .core import TimeVaryingGraph, _check_time
+from .journeys import KINDS, _check_kind, _check_node, distance_map, minimal_route_counts
 
 
 def _eccentricity_of(d: dict[int, int], n: int, u: int) -> float:
@@ -158,20 +149,3 @@ def _window_closeness(g, t, kind, reducer, strict) -> float:
 
 def _window_betweenness(g, t, kind, reducer, strict) -> float:
     return _reduce(temporal_betweenness_all(g, t, kind, strict), reducer)
-
-
-def temporal_series(
-    g: TimeVaryingGraph,
-    spec: WindowSpec,
-    indicator: str,
-    kind: str = "shortest",
-    reducer: str = "mean",
-    node_policy: str = "active",
-    strict: bool = False,
-) -> IndicatorSeries:
-    """Evaluate a temporal indicator on each temporal subgraph of the
-    window decomposition, at each window's start time."""
-    windows._load_registries()
-    if indicator not in windows.TEMPORAL_INDICATORS:
-        raise ValueError(f"unknown temporal indicator {indicator!r}")
-    return windows.evolve(g, spec, indicator, node_policy, kind, reducer, strict)

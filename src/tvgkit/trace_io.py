@@ -66,7 +66,9 @@ def parse_trace(
             raise TraceFormatError(line_no, msg)
         skipped.append((line_no, msg))
 
-    for line_no, row in enumerate(reader, start=1):
+    next_line = 1  # a record starts on the line after the last one read
+    for row in reader:
+        line_no, next_line = next_line, reader.line_num + 1
         row = list(map(str.strip, row))
         if not any(row):
             continue

@@ -2,11 +2,11 @@
 
 The lifetime is cut into consecutive (or sliding) half-open windows; each
 window yields either a footprint (for atemporal indicators) or a temporal
-subgraph (for journey-based indicators), and an indicator evaluated per
-window produces a time series.  Footprints slide from window to window by
-their edge deltas: the edges that enter and leave update per-node degrees
-and link counts (``Footprint.degrees`` and ``Footprint.links``), which
-each window's footprint receives ready-made.
+subgraph (for journey-based indicators); ``evolve`` / ``evolve_many``,
+the one windowed loop, turn each indicator into a per-window series.
+Footprints slide from window to window by their edge deltas: the edges
+that enter and leave update per-node degrees and link counts
+(``Footprint.degrees``, ``Footprint.links``), ready-made per footprint.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 from itertools import chain, compress
 from typing import Iterator, Optional, Sequence
 
+from . import static_metrics as sm
+from . import temporal_metrics as tm
 from .core import (
     Footprint,
     Lifetime,
@@ -237,11 +239,6 @@ def footprint_sequence(
     return list(_footprints(g, spec, windows_of(g.lifetime, spec), node_policy))
 
 
-def tvg_sequence(g: TimeVaryingGraph, spec: WindowSpec) -> list[TimeVaryingGraph]:
-    """One temporal subgraph per window."""
-    return [temporal_subgraph(g, a, b) for a, b in windows_of(g.lifetime, spec)]
-
-
 #: static indicator name -> callable(Footprint) -> float
 STATIC_INDICATORS = {}
 #: temporal indicator name -> callable(tvg, t, kind, reducer, strict) -> float
@@ -249,12 +246,10 @@ TEMPORAL_INDICATORS = {}
 
 
 def _load_registries():
-    # populated lazily to avoid a module import cycle with the metric modules
+    # filled on first use, not at import: perfbench's tracer refuses to
+    # install once the registries hold entries
     if STATIC_INDICATORS:
         return
-    from . import static_metrics as sm
-    from . import temporal_metrics as tm
-
     STATIC_INDICATORS.update(
         {
             "density": sm.density,

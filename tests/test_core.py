@@ -104,6 +104,31 @@ class TestBuildTvg:
             simple_tvg(events)
 
 
+class TestAdjacency:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_in_edges_list_every_edge_into_a_node(self, directed):
+        rng = random.Random(21)
+        parallel = 0
+        for _ in range(300):
+            n = rng.randint(2, 6)
+            events = []
+            for _ in range(rng.randint(0, 12)):
+                u, v = rng.sample(range(n), 2)
+                a = rng.randrange(0, 11)
+                events.append((u, v, a, a + 1, rng.choice(["x", "y", "z"])))
+            g = build_tvg(n, directed, Lifetime(0, 12), events)
+            parallel += len(g.edges) - len({(e.u, e.v) for e in g.edges})
+            for v in range(n):
+                # edge i from x to v, in edge order; undirected, either way round
+                expected = [
+                    (i, e.u if e.v == v else e.v)
+                    for i, e in enumerate(g.edges)
+                    if e.v == v or (not directed and e.u == v)
+                ]
+                assert g.in_edges(v) == expected
+        assert parallel > 0
+
+
 class TestPresenceQuery:
     def test_interior_point(self):
         g = simple_tvg([(0, 1, 0, 8)], n=2)

@@ -47,6 +47,16 @@ class TestParseTrace:
         with pytest.raises(TraceFormatError, match="line 2.*inverted"):
             parse_trace("u,v,start,end\na,b,5,2\n")
 
+    def test_line_numbers_count_quoted_newlines(self):
+        # the quoted name spans lines 2 and 3, so the next record is on line 4
+        text = 'u,v,start,end\n"a\nb",c,1,2\nx,y,5,3\n'
+        with pytest.raises(TraceFormatError, match=r"^line 4: inverted interval \[5,3\)$"):
+            parse_trace(text)
+        assert parse_trace(text, strict=False).skipped == [(4, "inverted interval [5,3)")]
+        # a record spanning lines is reported on the line where it starts
+        with pytest.raises(TraceFormatError, match=r"^line 2: inverted"):
+            parse_trace('u,v,start,end\n"a\nb",c,5,3\n')
+
     def test_bad_header(self):
         with pytest.raises(TraceFormatError, match="header"):
             parse_trace("from,to,when\na,b,0\n")

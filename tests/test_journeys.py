@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tvgkit import core
 from tvgkit.core import Lifetime, PresenceSet, build_tvg, footprint
 from tvgkit.journeys import (
-    _departure_candidates,
+    _critical_ticks,
     _earliest_arrival,
     _layered_states,
     _walk_back,
@@ -541,7 +541,7 @@ class TestSearchWork:
         events += [(1, 2, a, a + 1) for a in range(0, 30, 3)]
         events += [(2, 3, a, a + 2) for a in range(1, 28, 4)]
         g = tvg(events, n=4, end=30)
-        assert len(_departure_candidates(g, 0)) >= 10
+        assert len(list(_critical_ticks(g, 0, 0, 0))) >= 10
         assert fastest_distance(g, 0, 0) == oracle_distances(g, 0, 0)["fastest"]
         starts = (3, 5, 13, 14)
         expect = [oracle_distances(g, u, t)["fastest"] for t in starts for u in range(g.n)]

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvgkit import core
-from tvgkit.core import Lifetime, active_nodes, build_tvg, footprint, restrict_nodes
+from tvgkit.core import (
+    Lifetime,
+    active_nodes,
+    build_tvg,
+    footprint,
+    restrict_nodes,
+    temporal_subgraph,
+)
 from tvgkit.journeys import distance_map, minimal_route_counts
 from tvgkit.temporal_metrics import (
     _reduce,
@@ -16,9 +23,8 @@ from tvgkit.temporal_metrics import (
     temporal_betweenness,
     temporal_betweenness_all,
     temporal_closeness,
-    temporal_series,
 )
-from tvgkit.windows import WindowSpec, evolve, tvg_sequence
+from tvgkit.windows import WindowSpec, evolve, windows_of
 
 from oracles import (
     oracle_betweenness,
@@ -200,8 +206,8 @@ class TestBetweenness:
         spec = WindowSpec(4)
         evolve(g, spec, "betweenness", kind="foremost")
         active = [
-            len(active_nodes(footprint(sub, sub.lifetime.start, sub.lifetime.end)))
-            for sub in tvg_sequence(g, spec)
+            len(active_nodes(footprint(temporal_subgraph(g, a, b), a, b)))
+            for a, b in windows_of(g.lifetime, spec)
         ]
         assert sum(n * (n - 1) for n in active) > sum(active)
         assert sources == [u for n in active for u in range(n)]
@@ -298,40 +304,40 @@ class TestRestrictNodes:
 class TestTemporalSeries:
     def test_diameter_series_constant_graph(self):
         g = always([(0, 1), (1, 2)], 3, end=12)
-        s = temporal_series(g, WindowSpec(4), "diameter")
+        s = evolve(g, WindowSpec(4), "diameter")
         assert s.values == [2.0, 2.0, 2.0]
 
     def test_disconnection_shows_as_nan(self):
         g = tvg([(0, 1, 0, 4), (1, 2, 0, 4), (0, 1, 4, 8)], n=3, end=8)
-        s = temporal_series(g, WindowSpec(4), "diameter", node_policy="all")
+        s = evolve(g, WindowSpec(4), "diameter", node_policy="all")
         assert s.values[0] == 2.0
         assert math.isnan(s.values[1])
 
     def test_active_policy_ignores_silent_nodes(self):
         g = tvg([(0, 1, 0, 4), (1, 2, 0, 4), (0, 1, 4, 8)], n=3, end=8)
-        s = temporal_series(g, WindowSpec(4), "diameter", node_policy="active")
+        s = evolve(g, WindowSpec(4), "diameter", node_policy="active")
         assert s.values == [2.0, 1.0]
 
     def test_window_without_edges_has_no_diameter(self):
         g = build_tvg(1, False, Lifetime(0, 4), [])
-        d = temporal_series(g, WindowSpec(4), "diameter", node_policy="all")
-        e = temporal_series(g, WindowSpec(4), "eccentricity", node_policy="all")
+        d = evolve(g, WindowSpec(4), "diameter", node_policy="all")
+        e = evolve(g, WindowSpec(4), "eccentricity", node_policy="all")
         assert math.isnan(d.values[0]) and e.values == [0.0]
 
     def test_reducers(self):
         g = always([(0, 1), (1, 2)], 3, end=4)
-        mean = temporal_series(g, WindowSpec(4), "eccentricity", reducer="mean")
-        mx = temporal_series(g, WindowSpec(4), "eccentricity", reducer="max")
+        mean = evolve(g, WindowSpec(4), "eccentricity", reducer="mean")
+        mx = evolve(g, WindowSpec(4), "eccentricity", reducer="max")
         assert mean.values[0] == pytest.approx(5 / 3)
         assert mx.values[0] == 2.0
         with pytest.raises(ValueError, match="reducer"):
-            temporal_series(g, WindowSpec(4), "eccentricity", reducer="median")
+            evolve(g, WindowSpec(4), "eccentricity", reducer="median")
         with pytest.raises(ValueError, match="reducer"):
-            temporal_series(g, WindowSpec(4), "diameter", reducer="median")
+            evolve(g, WindowSpec(4), "diameter", reducer="median")
 
     def test_unknown_indicator_and_kind(self):
         g = always([(0, 1)], 2, end=4)
         with pytest.raises(ValueError, match="indicator"):
-            temporal_series(g, WindowSpec(2), "pagerank")
+            evolve(g, WindowSpec(2), "pagerank")
         with pytest.raises(ValueError, match="kind"):
-            temporal_series(g, WindowSpec(2), "diameter", kind="slowest")
+            evolve(g, WindowSpec(2), "diameter", kind="slowest")

@@ -11,8 +11,10 @@ from tvgkit.core import (
     Lifetime,
     PresenceSet,
     TimeVaryingGraph,
+    active_nodes,
     build_tvg,
     footprint,
+    temporal_subgraph,
 )
 from tvgkit.windows import (
     IndicatorSeries,
@@ -20,7 +22,6 @@ from tvgkit.windows import (
     evolve,
     evolve_many,
     footprint_sequence,
-    tvg_sequence,
     windows_of,
 )
 from tvgkit.static_metrics import average_clustering, clustering_coefficient, density
@@ -79,7 +80,8 @@ class TestWindowsOf:
         spec = WindowSpec(4, 4, -2)
         wins = [(0, 2), (2, 6), (6, 10)]
         assert [f.window for f in footprint_sequence(g, spec)] == wins
-        assert [sub.lifetime for sub in tvg_sequence(g, spec)] == [
+        subs = [temporal_subgraph(g, a, b) for a, b in windows_of(g.lifetime, spec)]
+        assert [sub.lifetime for sub in subs] == [
             Lifetime(a, b) for a, b in wins
         ]
         assert evolve(g, spec, "density", node_policy="all").windows == wins
@@ -151,7 +153,9 @@ class TestFootprintSweep:
         expected = []
         for a, b in windows_of(g.lifetime, spec):
             f = footprint(g, a, b)
-            expected.append(f.restrict_to_active() if node_policy == "active" else f)
+            if node_policy == "active":
+                f = Footprint(active_nodes(f), f.directed, f.edges, f.window)
+            expected.append(f)
         assert footprint_sequence(g, spec, node_policy) == expected
 
     def test_edge_with_two_intervals_in_one_window_joins_once(self):
@@ -210,7 +214,8 @@ class TestDeltaSweep:
             for f, (a, b) in zip(seq, wins):
                 expected = footprint(g, a, b)
                 if node_policy == "active":
-                    expected = expected.restrict_to_active()
+                    nodes = active_nodes(expected)
+                    expected = Footprint(nodes, g.directed, expected.edges, (a, b))
                 assert f == expected
                 fresh = Footprint(f.nodes, f.directed, f.edges, f.window)
                 assert f == fresh
@@ -295,7 +300,7 @@ class TestDeltaSweep:
         for a, b in windows_of(g.lifetime, spec):
             f = footprint(g, a, b)
             if node_policy == "active":
-                f = f.restrict_to_active()
+                f = Footprint(active_nodes(f), f.directed, f.edges, f.window)
             expected.append([repr(float(windows.STATIC_INDICATORS[n](f))) for n in names])
 
         def no_adjacency(self):
@@ -308,23 +313,27 @@ class TestDeltaSweep:
 
 
 class TestTvgSequence:
+    """One temporal subgraph per window, as ``evolve`` builds them."""
+
     def test_footprints_commute(self):
         rng = random.Random(9)
         for _ in range(30):
             g = random_tvg(rng)
             spec = WindowSpec(rng.randint(2, 8))
             fps = footprint_sequence(g, spec, node_policy="all")
-            for sub, f in zip(tvg_sequence(g, spec), fps):
+            subs = [temporal_subgraph(g, a, b) for a, b in windows_of(g.lifetime, spec)]
+            for sub, f in zip(subs, fps):
                 assert footprint(sub, sub.lifetime.start, sub.lifetime.end) == f
 
     def test_window_journeys_survive_in_subgraph(self):
-        # a journey inside window i is a journey of tvg_sequence[i], and
+        # a journey inside window i is a journey of its temporal subgraph, and
         # conversely every subgraph journey is one of the full graph
         rng = random.Random(17)
         checked = 0
         for _ in range(30):
             g = random_tvg(rng, n_max=5, e_max=8)
-            for sub in tvg_sequence(g, WindowSpec(6)):
+            for a, b in windows_of(g.lifetime, WindowSpec(6)):
+                sub = temporal_subgraph(g, a, b)
                 t0 = sub.lifetime.start
                 for u in range(g.n):
                     for v in range(g.n):
