@@ -55,19 +55,23 @@ class PresenceSet:
     __slots__ = ("_starts", "_ends")
 
     def __init__(self, intervals: Iterable[tuple[int, int]]):
-        starts: list[int] = []
-        ends: list[int] = []
-        for a, b in sorted(intervals):
+        intervals = sorted(intervals)
+        for a, b in intervals:
             if a >= b:
                 raise ValueError(f"empty interval [{a}, {b})")
-            if ends and a <= ends[-1]:  # overlap or adjacency: merge
-                if b > ends[-1]:
-                    ends[-1] = b
-            else:
-                starts.append(a)
-                ends.append(b)
-        self._starts = starts
-        self._ends = ends
+        self._starts, self._ends = _union(intervals)
+
+    @classmethod
+    def _checked(cls, intervals: list[tuple[int, int]]) -> "PresenceSet":
+        """The union of ``intervals``, each of which the caller has already
+        checked to be non-empty; a single interval needs no sort."""
+        p = cls.__new__(cls)
+        if len(intervals) == 1:
+            ((a, b),) = intervals
+            p._starts, p._ends = [a], [b]
+        else:
+            p._starts, p._ends = _union(sorted(intervals))
+        return p
 
     @property
     def intervals(self) -> list[tuple[int, int]]:
@@ -114,17 +118,34 @@ class PresenceSet:
 
     def clip(self, a: int, b: int) -> "PresenceSet":
         """Intersection with the window ``[a, b)``."""
-        out = []
+        # the intervals that meet the window; only the first and last can
+        # stick out of it, and clipping them leaves them non-empty
         lo = bisect.bisect_right(self._ends, a)
-        for i in range(lo, len(self._starts)):
-            if self._starts[i] >= b:
-                break
-            out.append((max(self._starts[i], a), min(self._ends[i], b)))
-        return PresenceSet(out)
+        hi = bisect.bisect_left(self._starts, b)
+        p = PresenceSet.__new__(PresenceSet)
+        p._starts, p._ends = self._starts[lo:hi], self._ends[lo:hi]
+        if lo < hi:
+            p._starts[0] = max(p._starts[0], a)
+            p._ends[-1] = min(p._ends[-1], b)
+        return p
 
     def intersects(self, a: int, b: int) -> bool:
         i = bisect.bisect_right(self._ends, a)
         return i < len(self._starts) and self._starts[i] < b
+
+
+def _union(intervals: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Starts and ends of the union of sorted non-empty intervals."""
+    starts: list[int] = []
+    ends: list[int] = []
+    for a, b in intervals:
+        if ends and a <= ends[-1]:  # overlap or adjacency: merge
+            if b > ends[-1]:
+                ends[-1] = b
+        else:
+            starts.append(a)
+            ends.append(b)
+    return starts, ends
 
 
 class Timeline(NamedTuple):
@@ -134,20 +155,28 @@ class Timeline(NamedTuple):
     starts or has its last tick; ``opening[a]`` and ``closing[a]`` list the
     arcs ``(tail, edge index, head)`` of the intervals starting at ``a`` and
     of those whose last tick is ``a`` (both directions when undirected).
-    ``arcs[i]`` is the arc of interval ``[starts[i], ends[i])``; the table
-    lists every interval of every arc, in edge order.
     """
 
     times: list[int]
     opening: dict[int, list[tuple[int, int, int]]]
     closing: dict[int, list[tuple[int, int, int]]]
-    arcs: list[tuple[int, int, int]]
-    starts: np.ndarray
-    ends: np.ndarray
 
 
 class TimeVaryingGraph:
-    """Immutable TVG: node count, edge list, and one presence set per edge."""
+    """Immutable TVG: node count, edge list, and one presence set per edge.
+
+    The constructor checks that there is one presence set per edge, that
+    every endpoint lies in ``[0, n)`` and that every interval lies in the
+    lifetime; self-loops and parallel edges are allowed.  ``build_tvg``,
+    ``temporal_subgraph`` and ``restrict_nodes``, whose parts are checked
+    by construction, skip these checks.
+
+    What only journey searches read is built on first use and then kept,
+    since the graph is immutable: the out- and in-adjacency behind
+    :meth:`out_edges` and :meth:`in_edges`, the :meth:`timeline` and the
+    :meth:`interval_table`.  A graph that only feeds footprints builds none
+    of them.
+    """
 
     def __init__(
         self,
@@ -160,35 +189,62 @@ class TimeVaryingGraph:
         if len(edges) != len(presence):
             raise ValueError("edges and presence lists differ in length")
         for e, p in zip(edges, presence):
+            if not (0 <= e.u < n and 0 <= e.v < n):
+                raise ValueError(f"edge ({e.u},{e.v}) has an endpoint outside [0,{n})")
             for a, b in p.intervals:
                 if a < lifetime.start or b > lifetime.end:
                     raise ValueError(
                         f"interval [{a},{b}) of edge ({e.u},{e.v}) outside lifetime"
                     )
+        self._assign(n, directed, lifetime, edges, presence)
+
+    @classmethod
+    def _trusted(cls, *parts) -> "TimeVaryingGraph":
+        """The graph of the constructor's arguments ``parts``, which the
+        caller has already checked as the constructor would."""
+        g = cls.__new__(cls)
+        g._assign(*parts)
+        return g
+
+    def _assign(self, n, directed, lifetime, edges, presence) -> None:
+        # every graph, checked or trusted, is built here
         self.n = n
         self.directed = directed
         self.lifetime = lifetime
         self.edges = tuple(edges)
         self.presence = tuple(presence)
+        self._timeline: Optional[Timeline] = None
+        self._intervals: Optional[tuple] = None
+
+    def _build_adjacency(self) -> None:
         # out- and in-adjacency; undirected, one list with both directions
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        radj = [[] for _ in range(n)] if directed else adj
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        radj = [[] for _ in range(self.n)] if self.directed else adj
         for i, e in enumerate(self.edges):
             adj[e.u].append((i, e.v))
-            if directed:
+            if self.directed:
                 radj[e.v].append((i, e.u))
             else:
                 adj[e.v].append((i, e.u))
         self._adj = adj
         self._radj = radj
-        self._timeline: Optional[Timeline] = None
 
+    # the adjacency is an attribute once built, so the searches' innermost
+    # loops pay no check for it
     def out_edges(self, u: int) -> list[tuple[int, int]]:
         """(edge index, neighbor) pairs usable when standing at ``u``."""
-        return self._adj[u]
+        try:
+            return self._adj[u]
+        except AttributeError:
+            self._build_adjacency()
+            return self._adj[u]
 
     def in_edges(self, v: int) -> list[tuple[int, int]]:
-        return self._radj[v]
+        try:
+            return self._radj[v]
+        except AttributeError:
+            self._build_adjacency()
+            return self._radj[v]
 
     def timeline(self) -> Timeline:
         """The graph's :class:`Timeline`, built on first use: the graph is
@@ -196,6 +252,15 @@ class TimeVaryingGraph:
         if self._timeline is None:
             self._timeline = _build_timeline(self)
         return self._timeline
+
+    def interval_table(self) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray]:
+        """``(arcs, starts, ends)``, built on first use: every presence
+        interval of every arc, in edge order; ``arcs[i]`` is the arc
+        ``(tail, edge index, head)`` of interval ``[starts[i], ends[i])``
+        (both directions when undirected)."""
+        if self._intervals is None:
+            self._intervals = _build_interval_table(self)
+        return self._intervals
 
     def __eq__(self, other) -> bool:
         return (
@@ -219,21 +284,25 @@ class TimeVaryingGraph:
 def _build_timeline(g: TimeVaryingGraph) -> Timeline:
     opening: dict[int, list[tuple[int, int, int]]] = {}
     closing: dict[int, list[tuple[int, int, int]]] = {}
+    for ei, (e, p) in enumerate(zip(g.edges, g.presence)):
+        arcs = [(e.u, ei, e.v)] if g.directed else [(e.u, ei, e.v), (e.v, ei, e.u)]
+        for a, b in p.intervals:
+            opening.setdefault(a, []).extend(arcs)
+            closing.setdefault(b - 1, []).extend(arcs)
+    return Timeline(sorted(opening.keys() | closing.keys()), opening, closing)
+
+
+def _build_interval_table(g: TimeVaryingGraph) -> tuple:
     table: list[tuple[int, int, int]] = []
     starts: list[int] = []
     ends: list[int] = []
     for ei, (e, p) in enumerate(zip(g.edges, g.presence)):
         arcs = [(e.u, ei, e.v)] if g.directed else [(e.u, ei, e.v), (e.v, ei, e.u)]
         for a, b in p.intervals:
-            opening.setdefault(a, []).extend(arcs)
-            closing.setdefault(b - 1, []).extend(arcs)
             table += arcs
             starts += [a] * len(arcs)
             ends += [b] * len(arcs)
-    return Timeline(
-        sorted(opening.keys() | closing.keys()), opening, closing, table,
-        np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64),
-    )
+    return table, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
 
 
 def _edge_key(item):
@@ -407,11 +476,11 @@ def build_tvg(
     """
     by_edge: dict[tuple[int, int, Optional[str]], list[tuple[int, int]]] = {}
     for rec in events:
-        if len(rec) == 4:
+        if len(rec) == 5:
+            u, v, a, b, label = rec
+        elif len(rec) == 4:
             u, v, a, b = rec
             label = None
-        elif len(rec) == 5:
-            u, v, a, b, label = rec
         else:
             raise ValueError(f"malformed event record {rec!r}")
         if not (0 <= u < n) or not (0 <= v < n):
@@ -424,15 +493,19 @@ def build_tvg(
             raise ValueError(f"event outside lifetime in event {rec!r}")
         if not directed and u > v:
             u, v = v, u
-        by_edge.setdefault((u, v, label), []).append((a, b))
+        ivals = by_edge.get((u, v, label))
+        if ivals is None:
+            by_edge[u, v, label] = [(a, b)]
+        else:
+            ivals.append((a, b))
     edges = []
     presence = []
     for (u, v, label), ivals in sorted(
         by_edge.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] or "")
     ):
         edges.append(Edge(u, v, label))
-        presence.append(PresenceSet(ivals))
-    return TimeVaryingGraph(n, directed, lifetime, edges, presence)
+        presence.append(PresenceSet._checked(ivals))
+    return TimeVaryingGraph._trusted(n, directed, lifetime, edges, presence)
 
 
 def _check_time(g: TimeVaryingGraph, t: int) -> None:
@@ -476,7 +549,9 @@ def temporal_subgraph(g: TimeVaryingGraph, t1: int, t2: int) -> TimeVaryingGraph
         if clipped:
             edges.append(e)
             presence_sets.append(clipped)
-    return TimeVaryingGraph(g.n, g.directed, Lifetime(t1, t2), edges, presence_sets)
+    return TimeVaryingGraph._trusted(
+        g.n, g.directed, Lifetime(t1, t2), edges, presence_sets
+    )
 
 
 def restrict_nodes(g: TimeVaryingGraph, nodes: Iterable[int]) -> TimeVaryingGraph:
@@ -488,7 +563,9 @@ def restrict_nodes(g: TimeVaryingGraph, nodes: Iterable[int]) -> TimeVaryingGrap
         if e.u in index and e.v in index:
             edges.append(Edge(index[e.u], index[e.v], e.label))
             presence_sets.append(p)
-    return TimeVaryingGraph(len(index), g.directed, g.lifetime, edges, presence_sets)
+    return TimeVaryingGraph._trusted(
+        len(index), g.directed, g.lifetime, edges, presence_sets
+    )
 
 
 def active_nodes(f: Footprint) -> set[int]:

@@ -10,9 +10,10 @@ arrival after a start time) and fastest (smallest arrival minus departure).
 Shortest is a pruned hop-by-hop search, foremost an earliest-arrival
 search and fastest one time-forward pass over the critical times at or
 after the start time, with one label per node (see ``fastest_distance``).
-The pass takes the arcs present at the start time from the graph's
-interval table, built with its timeline.  A distance search stops once
-every node is settled, a witness search once its target is.
+A pass that starts after the lifetime start takes the arcs present at
+the start time from the graph's interval table, which is built only for
+such a pass.  A distance search stops once every node is settled, a
+witness search once its target is.
 """
 
 from __future__ import annotations
@@ -180,12 +181,13 @@ def _fastest_flood(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
     """(dur, witness) of ``fastest_distance``: witness[v] is the record
     ``(record of the last relay, edge index, crossing time)`` of a fastest
     journey to v; the record of the source is None."""
-    _, opening, closing, arcs, starts, ends = g.timeline()
+    _, opening, closing = g.timeline()
     # present[x]: {edge: head} of the arcs out of x present at the current
     # tick, in edge order; at the lifetime start every interval open at t
     # starts at t, and the first tick opens it
     present: list[dict[int, int]] = [{} for _ in range(g.n)]
     if t > g.lifetime.start:
+        arcs, starts, ends = g.interval_table()
         for i in np.flatnonzero((starts <= t) & (t < ends)).tolist():
             x, ei, y = arcs[i]
             present[x][ei] = y

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO, Union
 
@@ -56,9 +57,9 @@ def parse_trace(
         source = io.StringIO(source)
     reader = csv.reader(source)
     header = None
-    names: list[str] = []
-    ids: dict[str, int] = {}
+    ids: dict[str, int] = {}  # in order of first appearance
     events: list[tuple] = []
+    first, last = math.inf, -math.inf  # the hull of the intervals read
     skipped: list[tuple[int, str]] = []
 
     def bad(line_no: int, msg: str):
@@ -106,19 +107,20 @@ def parse_trace(
         if not u_name or not v_name:
             bad(line_no, "empty node name")
             continue
-        for name in (u_name, v_name):
-            if name not in ids:
-                ids[name] = len(names)
-                names.append(name)
-        events.append((ids[u_name], ids[v_name], start, end, label))
+        u = ids.setdefault(u_name, len(ids))
+        v = ids.setdefault(v_name, len(ids))
+        events.append((u, v, start, end, label))
+        if start < first:
+            first = start
+        if end > last:
+            last = end
 
     if header is None:
         raise TraceFormatError(0, "empty input")
     if not events:
         raise TraceFormatError(0, "no valid records")
-    lifetime = Lifetime(min(e[2] for e in events), max(e[3] for e in events))
-    graph = build_tvg(len(names), directed, lifetime, events)
-    return ParseResult(graph, names, skipped)
+    graph = build_tvg(len(ids), directed, Lifetime(first, last), events)
+    return ParseResult(graph, list(ids), skipped)
 
 
 def write_trace(

@@ -137,8 +137,6 @@ def _footprints(
         uv = (e.u, e.v) if directed or e.u < e.v else (e.v, e.u)
         if e.u == e.v:
             raise ValueError(f"self-loop {uv} rejected")
-        if not (0 <= e.u < n and 0 <= e.v < n):
-            raise ValueError(f"edge {uv} has an endpoint outside the node universe")
         by_edge.setdefault(uv, []).append(p)
 
     def deltas(groups: dict) -> tuple[list[list], list[list]]:

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tvgkit.core import (
+    Edge,
     Footprint,
     Lifetime,
     PresenceSet,
+    TimeVaryingGraph,
     active_nodes,
     build_tvg,
     footprint,
@@ -63,8 +65,9 @@ class TestPresenceSet:
             max_size=8,
         ),
         st.integers(-2, 45),
+        st.integers(1, 12),
     )
-    def test_bisect_matches_linear_scan(self, raw, t):
+    def test_bisect_matches_linear_scan(self, raw, t, width):
         p = PresenceSet(raw)
         linear = any(a <= t < b for a, b in p.intervals)
         assert (t in p) == linear
@@ -72,6 +75,13 @@ class TestPresenceSet:
         assert p.next_at_or_after(t) == nxt
         prev = max((min(b - 1, t) for a, b in p.intervals if a <= t), default=None)
         assert p.latest_at_or_before(t) == prev
+        clipped = [
+            (max(a, t), min(b, t + width))
+            for a, b in p.intervals
+            if a < t + width and b > t
+        ]
+        assert p.clip(t, t + width) == PresenceSet(clipped)
+        assert p.clip(t, t + width).intervals == clipped
 
 
 class TestBuildTvg:
@@ -102,6 +112,72 @@ class TestBuildTvg:
     def test_bad_events_rejected_with_diagnostic(self, events, match):
         with pytest.raises(ValueError, match=match):
             simple_tvg(events)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_equals_checked_construction(self, directed):
+        # build_tvg skips the checks of the public constructors; its graph
+        # must still be the one they build, edge for edge, in the same order:
+        # edges by (u, v, label), with no label as "", ties in order of
+        # first appearance
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randint(2, 7)
+            start = rng.randint(-5, 5)
+            life = Lifetime(start, start + rng.randint(1, 25))
+            events = []
+            for _ in range(rng.randint(0, 25)):
+                u, v = rng.sample(range(n), 2)
+                label = rng.choice([None, None, "", "x", "y"])
+                a = rng.randrange(life.start, life.end)
+                # overlapping, adjacent and shuffled intervals of one edge
+                for _ in range(rng.randint(1, 3)):
+                    b = rng.randint(a + 1, life.end)
+                    events.append((u, v, a, b) if label is None else (u, v, a, b, label))
+                    a = rng.choice([b, rng.randrange(life.start, b)])
+                    if a >= life.end:
+                        break
+            rng.shuffle(events)
+            groups = {}
+            for u, v, a, b, *label in events:
+                if not directed and u > v:
+                    u, v = v, u
+                groups.setdefault((u, v, *(label or [None])), []).append((a, b))
+            keys = sorted(groups, key=lambda k: (k[0], k[1], k[2] or ""))
+            expected = TimeVaryingGraph(
+                n, directed, life, [Edge(*k) for k in keys],
+                [PresenceSet(groups[k]) for k in keys],
+            )
+            g = build_tvg(n, directed, life, events)
+            assert (g.n, g.directed, g.lifetime) == (n, directed, life)
+            assert g.edges == expected.edges
+            assert g.presence == expected.presence
+            assert [p.intervals for p in g.presence] == [
+                p.intervals for p in expected.presence
+            ]
+            for x in range(n):
+                assert g.out_edges(x) == expected.out_edges(x)
+                assert g.in_edges(x) == expected.in_edges(x)
+
+
+class TestConstructor:
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="^edges and presence lists differ in length$"):
+            TimeVaryingGraph(2, False, Lifetime(0, 4), [Edge(0, 1)], [])
+
+    def test_interval_outside_lifetime_rejected(self):
+        with pytest.raises(
+            ValueError, match=r"^interval \[2,6\) of edge \(0,1\) outside lifetime$"
+        ):
+            TimeVaryingGraph(
+                2, False, Lifetime(0, 4), [Edge(0, 1)], [PresenceSet([(0, 1), (2, 6)])]
+            )
+
+    @pytest.mark.parametrize("edge", [Edge(-1, 1), Edge(0, 5), Edge(2, 0)])
+    def test_endpoint_outside_node_range_rejected(self, edge):
+        # a negative index would wrap onto a real node of the adjacency
+        message = rf"^edge \({edge.u},{edge.v}\) has an endpoint outside \[0,2\)$"
+        with pytest.raises(ValueError, match=message):
+            TimeVaryingGraph(2, False, Lifetime(0, 4), [edge], [PresenceSet([(0, 2)])])
 
 
 class TestAdjacency:

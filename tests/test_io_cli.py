@@ -278,5 +278,7 @@ class TestBenchmarkHooks:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert result["rc"] == 0
-        for span in ("density", "temporal_subgraph", "temporal_closeness"):
+        for span in (
+            "parse_trace", "build_tvg", "density", "temporal_subgraph", "temporal_closeness"
+        ):
             assert result["calls"].get(span, 0) > 0, span

@@ -311,6 +311,25 @@ class TestDeltaSweep:
         assert [[repr(v) for v in row] for row in zip(*(s.values for s in series))] == expected
         assert any(v > 0 for v in series[1].values)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("node_policy", ["all", "active"])
+    def test_static_indicators_build_no_graph_adjacency(
+        self, monkeypatch, directed, node_policy
+    ):
+        # only journey searches read a graph's out- and in-adjacency, so
+        # neither building the graph nor a static sweep over it builds them
+        names = ["density", "avg_clustering", "avg_modularity", "powerlaw"]
+
+        def no_adjacency(self):
+            raise AssertionError("a graph built its adjacency")
+
+        monkeypatch.setattr(TimeVaryingGraph, "_build_adjacency", no_adjacency)
+        g, spec = sweep_case(random.Random(12), directed)
+        series = evolve_many(g, spec, names, node_policy)
+        assert any(v > 0 for v in series[0].values)
+        with pytest.raises(AssertionError, match="adjacency"):
+            g.in_edges(0)
+
 
 class TestTvgSequence:
     """One temporal subgraph per window, as ``evolve`` builds them."""
@@ -496,16 +515,16 @@ class TestEvolveMany:
         # the subgraph, plus its restriction to the active nodes; never one
         # per indicator
         built = 0
-        init = TimeVaryingGraph.__init__
+        assign = TimeVaryingGraph._assign
 
-        def counting_init(self, *args, **kwargs):
+        def counting_assign(self, *args):  # every graph build, checked or not
             nonlocal built
             built += 1
-            init(self, *args, **kwargs)
+            assign(self, *args)
 
         g = random_tvg(random.Random(6))
         spec = WindowSpec(5)
-        monkeypatch.setattr(TimeVaryingGraph, "__init__", counting_init)
+        monkeypatch.setattr(TimeVaryingGraph, "_assign", counting_assign)
         evolve_many(g, spec, ["closeness", "diameter", "betweenness"], node_policy)
         assert built == per_window * len(windows_of(g.lifetime, spec))
 
