@@ -41,7 +41,6 @@ from .static_metrics import (
 from .temporal_metrics import (
     diameter,
     eccentricity,
-    eccentricity_report,
     temporal_betweenness,
     temporal_betweenness_all,
     temporal_closeness,

@@ -426,18 +426,9 @@ class Footprint:
         """Edges among the neighbours of each node of the universe in the
         undirected view."""
         if self._links is None:
-            # each edge once: the neighbours its ends share close a triangle
-            # at both ends, and every triangle at a node is seen from both of
-            # its edges there
-            bits = self.adjacency()
             index = {x: i for i, x in enumerate(self.nodes)}
-            shared = [0] * len(bits)
-            for u, v in self.undirected_edges():
-                i, j = index[u], index[v]
-                c = (bits[i] & bits[j]).bit_count()
-                shared[i] += c
-                shared[j] += c
-            self._links = {x: c // 2 for x, c in zip(self.nodes, shared)}
+            pairs = ((index[u], index[v]) for u, v in self.undirected_edges())
+            self._links = dict(zip(self.nodes, _count_links(pairs, self.adjacency())))
         return self._links
 
     def neighbors(self, x: int) -> set[int]:
@@ -556,7 +547,11 @@ def temporal_subgraph(g: TimeVaryingGraph, t1: int, t2: int) -> TimeVaryingGraph
 
 def restrict_nodes(g: TimeVaryingGraph, nodes: Iterable[int]) -> TimeVaryingGraph:
     """TVG induced on ``nodes`` (relabelled densely, in ascending order)."""
-    index = {x: i for i, x in enumerate(sorted(set(nodes)))}
+    keep = sorted(set(nodes))
+    for x in keep[:1] + keep[-1:]:
+        if not 0 <= x < g.n:
+            raise ValueError(f"node {x} outside [0,{g.n})")
+    index = {x: i for i, x in enumerate(keep)}
     edges = []
     presence_sets = []
     for e, p in zip(g.edges, g.presence):
@@ -566,6 +561,21 @@ def restrict_nodes(g: TimeVaryingGraph, nodes: Iterable[int]) -> TimeVaryingGrap
     return TimeVaryingGraph._trusted(
         len(index), g.directed, g.lifetime, edges, presence_sets
     )
+
+
+def _count_links(pairs: Iterable[tuple[int, int]], bits: list[int]) -> list[int]:
+    """Edges among the neighbours of each position, given each undirected
+    pair of positions once and per position the bitmask of its neighbours.
+
+    The neighbours a pair's ends share close a triangle at both ends, and
+    every triangle at a position is seen from both of its edges there.
+    """
+    links = [0] * len(bits)
+    for i, j in pairs:
+        c = (bits[i] & bits[j]).bit_count()
+        links[i] += c
+        links[j] += c
+    return [c // 2 for c in links]
 
 
 def active_nodes(f: Footprint) -> set[int]:

@@ -7,13 +7,20 @@ latency), so several hops may happen at the same instant; pass
 
 Three distance notions follow: shortest (fewest hops), foremost (earliest
 arrival after a start time) and fastest (smallest arrival minus departure).
-Shortest is a pruned hop-by-hop search, foremost an earliest-arrival
-search and fastest one time-forward pass over the critical times at or
-after the start time, with one label per node (see ``fastest_distance``).
-A pass that starts after the lifetime start takes the arcs present at
-the start time from the graph's interval table, which is built only for
-such a pass.  A distance search stops once every node is settled, a
-witness search once its target is.
+Each kind has one search: shortest a pruned hop-by-hop search, foremost
+an earliest-arrival search and fastest one time-forward pass over the
+critical times at or after the start time, with one label per node (see
+``fastest_distance``).  A pass that starts after the lifetime start takes
+the arcs present at the start time from the graph's interval table, which
+is built only for such a pass.
+
+Every search returns ``(distances, records)``: the ``kind`` distance per
+reachable node, and per reachable node the record of one witness journey,
+``(record of the hop before, edge index, crossing time)``, which is None
+at the source.  Distances, witnesses and route-count bounds all read
+these two.  A distance search stops once every node is settled; the
+shortest and foremost searches stop once a witness target is, and the
+fastest pass cannot stop early.
 """
 
 from __future__ import annotations
@@ -77,15 +84,14 @@ def _earliest_arrival(
 ):
     """Earliest-arrival relaxation from ``u`` with first crossing >= ``t``.
 
-    Returns (arrival, pred) where arrival[v] is the minimal last-crossing
-    time of a journey u->v departing >= t (arrival[u] = t), and pred[v] is
-    the (prev node, edge index, crossing time) of one witness.  The search
-    stops once every node is settled, or once ``target`` is: then only its
-    entries and those of its witness are final.
+    Returns (delay, records) where delay[v] is the minimal last-crossing
+    time of a journey u->v departing >= t, minus t.  The search stops once
+    every node is settled, or once ``target`` is: then only its entries
+    and those of its witness are final.
     """
     arrival = {u: t}
     ready = {u: t}
-    pred: dict[int, Optional[tuple[int, int, int]]] = {u: None}
+    rec: dict[int, Optional[tuple]] = {u: None}
     heap = [(t, u)]
     done: set[int] = set()
     while heap:
@@ -105,19 +111,16 @@ def _earliest_arrival(
             if y not in arrival or tp < arrival[y]:
                 arrival[y] = tp
                 ready[y] = tp + 1 if strict else tp
-                pred[y] = (x, ei, tp)
+                rec[y] = (rec[x], ei, tp)
                 heapq.heappush(heap, (tp, y))
-    return arrival, pred
+    return {v: a - t for v, a in arrival.items()}, rec
 
 
 def foremost_distance(
     g: TimeVaryingGraph, u: int, t: int, strict: bool = False
 ) -> dict[int, int]:
     """Minimal arrival delay after ``t`` per reachable node (unreachable absent)."""
-    _check_time(g, t)
-    _check_node(g, u)
-    arrival, _ = _earliest_arrival(g, u, t, strict)
-    return {v: a - t for v, a in arrival.items()}
+    return distance_map(g, u, t, "foremost", strict)
 
 
 def _layered_states(
@@ -128,41 +131,41 @@ def _layered_states(
     At hop h a state ``(y, r)`` is dropped when an earlier hop reached y
     with a bound <= r: every continuation is then available in fewer hops.
     So the first hop at which a node enters is its shortest distance.
-    Returns (dist, pred): dist[x] -> that hop; pred[(h, x)] -> ((h - 1,
-    x_prev), edge, crossing time) of a witness route of length h.  The
-    search stops after the hop at which every node, or ``target``, has
-    entered: later hops only add routes longer than any distance read.
+    Returns (dist, records): dist[x] -> that hop, and records[x] the record
+    of x's frontier state at that hop.  The search stops after the hop at
+    which every node, or ``target``, has entered: later hops only add
+    routes longer than any distance read.
     """
     reached = {u: t}  # least bound per node over the hops so far
     dist = {u: 0}
-    pred: dict[tuple[int, int], tuple[tuple[int, int], int, int]] = {}
-    frontier = {u: t}
+    records: dict[int, Optional[tuple]] = {u: None}
+    frontier: dict[int, tuple] = {u: (t, None)}  # node -> (bound, record)
     for h in range(1, g.n):
-        nxt: dict[int, int] = {}
-        for x, lb in frontier.items():
+        nxt: dict[int, tuple] = {}
+        for x, (lb, rx) in frontier.items():
             for ei, y in g.out_edges(x):
                 tp = g.presence[ei].next_at_or_after(lb)
                 if tp is None:
                     continue
                 r = tp + 1 if strict else tp
-                if y not in nxt or r < nxt[y]:
-                    nxt[y] = r
-                    pred[(h, y)] = ((h - 1, x), ei, tp)
-        frontier = {y: r for y, r in nxt.items() if r < reached.get(y, math.inf)}
-        reached.update(frontier)
-        dist.update((y, h) for y in sorted(frontier) if y not in dist)
+                if y not in nxt or r < nxt[y][0]:
+                    nxt[y] = (r, (rx, ei, tp))
+        frontier = {y: s for y, s in nxt.items() if s[0] < reached.get(y, math.inf)}
+        for y in sorted(frontier):
+            reached[y] = frontier[y][0]
+            if y not in dist:
+                dist[y] = h
+                records[y] = frontier[y][1]
         if not frontier or target in dist or len(dist) == g.n:
             break
-    return dist, pred
+    return dist, records
 
 
 def shortest_distance(
     g: TimeVaryingGraph, u: int, t: int, strict: bool = False
 ) -> dict[int, int]:
     """Minimal hop count per reachable node over journeys departing >= ``t``."""
-    _check_time(g, t)
-    _check_node(g, u)
-    return _layered_states(g, u, t, strict)[0]
+    return distance_map(g, u, t, "shortest", strict)
 
 
 def _critical_ticks(g: TimeVaryingGraph, t: int, before: int, after: int):
@@ -178,9 +181,8 @@ def _critical_ticks(g: TimeVaryingGraph, t: int, before: int, after: int):
 
 
 def _fastest_flood(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
-    """(dur, witness) of ``fastest_distance``: witness[v] is the record
-    ``(record of the last relay, edge index, crossing time)`` of a fastest
-    journey to v; the record of the source is None."""
+    """(dur, witness) of ``fastest_distance``: witness[v] is the record of
+    a fastest journey to v, kept when v first reached its duration."""
     _, opening, closing = g.timeline()
     # present[x]: {edge: head} of the arcs out of x present at the current
     # tick, in edge order; at the lifetime start every interval open at t
@@ -194,7 +196,7 @@ def _fastest_flood(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
     label = [t - 1] * g.n  # latest departure reaching each node; t - 1: none yet
     rec: list[Optional[tuple]] = [None] * g.n
     dur = {u: 0}
-    witness: dict[int, tuple] = {}
+    witness: dict[int, Optional[tuple]] = {u: None}
     # the strict hops of a journey between two critical times can move to
     # just after the earlier one or just before the later one; after the
     # last interval start, to just after it, so nothing improves later
@@ -250,9 +252,15 @@ def fastest_distance(
     duration improves after the last interval start (strict: n-1 ticks
     later), so the pass stops there.
     """
-    _check_time(g, t)
-    _check_node(g, u)
-    return _fastest_flood(g, u, t, strict)[0]
+    return distance_map(g, u, t, "fastest", strict)
+
+
+#: distance kind -> its search: (g, u, t, strict) -> (distances, records)
+_SEARCHES = {
+    "shortest": _layered_states,
+    "foremost": _earliest_arrival,
+    "fastest": _fastest_flood,
+}
 
 
 def temporal_view(
@@ -282,7 +290,7 @@ def temporal_view(
             if x in done:
                 continue
             tp = g.presence[ei].latest_at_or_before(cap)
-            if tp is None or tp < g.lifetime.start:
+            if tp is None:
                 continue
             if x not in latest or tp > latest[x]:
                 latest[x] = tp
@@ -290,26 +298,17 @@ def temporal_view(
     return None
 
 
-def _walk_back(pred: dict, src, dst) -> list[Step]:
-    """Steps of the witness ending at ``dst`` in a predecessor map."""
-    steps = []
-    while dst != src:
-        dst, ei, tp = pred[dst]
-        steps.append((ei, tp))
-    return steps[::-1]
-
-
 def witness_journey(
     g: TimeVaryingGraph, u: int, v: int, t: int, kind: str, strict: bool = False
 ) -> Optional[list[Step]]:
     """One journey achieving the ``kind`` distance from u to v at t, or None.
 
-    Shortest walks back from the hop at which v first enters the pruned
-    layers, and foremost from v's earliest arrival; both searches stop
-    once v is settled, which leaves its witness as the full search has
-    it.  Fastest unwinds the record that the pass of ``fastest_distance``
-    kept when v first reached its duration, so it departs at the earliest
-    departure of any fastest journey.
+    Unwinds v's record from the ``kind`` search: shortest from the hop at
+    which v first enters the pruned layers, foremost from v's earliest
+    arrival; both searches stop once v is settled, which leaves its
+    record as the full search has it.  Fastest takes the record that the
+    pass of ``fastest_distance`` kept when v first reached its duration,
+    so it departs at the earliest departure of any fastest journey.
     """
     _check_time(g, t)
     _check_kind(kind)
@@ -317,15 +316,14 @@ def witness_journey(
     _check_node(g, v)
     if u == v:
         return []
-    if kind == "foremost":
-        pred = _earliest_arrival(g, u, t, strict, v)[1]
-        return _walk_back(pred, u, v) if v in pred else None
-    if kind == "shortest":
-        dist, pred = _layered_states(g, u, t, strict, v)
-        return _walk_back(pred, (0, u), (dist[v], v)) if v in dist else None
-    r = _fastest_flood(g, u, t, strict)[1].get(v)
-    if r is None:
+    search = _SEARCHES[kind]
+    if kind == "fastest":  # a later tick may still shorten v's journey
+        records = search(g, u, t, strict)[1]
+    else:
+        records = search(g, u, t, strict, v)[1]
+    if v not in records:
         return None
+    r = records[v]
     steps = []
     while r is not None:
         r, ei, tp = r
@@ -336,13 +334,11 @@ def witness_journey(
 def distance_map(
     g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool = False
 ) -> dict[int, int]:
-    """Dispatch to the ``kind`` distance from ``u`` at ``t``."""
+    """The ``kind`` distance from ``u`` at ``t`` per reachable node."""
     _check_kind(kind)
-    if kind == "shortest":
-        return shortest_distance(g, u, t, strict)
-    if kind == "foremost":
-        return foremost_distance(g, u, t, strict)
-    return fastest_distance(g, u, t, strict)
+    _check_time(g, t)
+    _check_node(g, u)
+    return _SEARCHES[kind](g, u, t, strict)[0]
 
 
 def _fastest_step(pairs: tuple, p, strict: bool, limit: int) -> tuple:
@@ -399,18 +395,18 @@ def minimal_route_counts(
     _check_kind(kind)
     _check_node(g, u)
     n = g.n
+    start = t
+    reached = {u: t}  # shortest: least bound per node over earlier hops
+    if kind != "shortest":
+        # no minimal route is longer than the largest distance
+        best = _SEARCHES[kind](g, u, t, strict)[0]
+        limit = max(best.values())
+        horizon = t + limit  # foremost: no minimal route crosses later
     if kind == "fastest":
-        limit = max(_fastest_flood(g, u, t, strict)[0].values())
         # optimal fastest journeys depart at interval starts (waiting for an
         # edge) or last ticks (leaving just before one closes); strict ordering
         # forces one tick per hop, so each also shifts earlier by up to n - 1
         start = tuple((None, s) for s in _critical_ticks(g, t, n - 1 if strict else 0, 0))
-    else:
-        start = t
-        reached = {u: t}  # shortest: least bound per node over earlier hops
-        if kind == "foremost":
-            arrival, _ = _earliest_arrival(g, u, t, strict)
-            horizon = max(arrival.values())
 
     layer = {(u, start): (1, [0] * n)}
     totals: dict[int, list] = {}
@@ -446,10 +442,9 @@ def minimal_route_counts(
                     continue
                 m = h
             elif kind == "foremost":
-                arr = state - 1 if strict else state
-                if arr != arrival[y]:
+                m = (state - 1 if strict else state) - t
+                if m != best[y]:
                     continue
-                m = arr - t
             else:
                 m = min((r - 1 if strict else r) - dep for dep, r in state)
             acc = totals.get(y)

@@ -9,27 +9,23 @@ excluded from closeness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
 from .core import TimeVaryingGraph, _check_time
-from .journeys import KINDS, _check_kind, _check_node, distance_map, minimal_route_counts
-
-
-def _eccentricity_of(d: dict[int, int], n: int, u: int) -> float:
-    if len(d) < n:
-        return math.inf
-    if n == 1:
-        return 0.0
-    return float(max(v for x, v in d.items() if x != u))
+from .journeys import _check_kind, _check_node, distance_map, minimal_route_counts
 
 
 def eccentricity(
     g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool = False
 ) -> float:
     """Max ``kind`` distance from ``u`` to every other node; inf if any is unreachable."""
-    return _eccentricity_of(distance_map(g, u, t, kind, strict), g.n, u)
+    d = distance_map(g, u, t, kind, strict)
+    if len(d) < g.n:
+        return math.inf
+    if g.n == 1:
+        return 0.0
+    return float(max(v for x, v in d.items() if x != u))
 
 
 def diameter(g: TimeVaryingGraph, t: int, kind: str, strict: bool = False) -> float:
@@ -42,31 +38,6 @@ def diameter(g: TimeVaryingGraph, t: int, kind: str, strict: bool = False) -> fl
             return math.inf
         worst = max(worst, e)
     return worst
-
-
-@dataclass
-class EccentricityReport:
-    """Per-node eccentricities for every distance kind at one instant."""
-
-    t: int
-    values: dict[str, dict[int, float]] = field(default_factory=dict)
-    reachable_count: dict[int, int] = field(default_factory=dict)
-
-    def unbounded(self, u: int, kind: str) -> bool:
-        return math.isinf(self.values[kind][u])
-
-
-def eccentricity_report(
-    g: TimeVaryingGraph, t: int, strict: bool = False
-) -> EccentricityReport:
-    report = EccentricityReport(t, {k: {} for k in KINDS})
-    for u in range(g.n):
-        for kind in KINDS:
-            d = distance_map(g, u, t, kind, strict)
-            report.values[kind][u] = _eccentricity_of(d, g.n, u)
-            if kind == "foremost":
-                report.reachable_count[u] = len(d)
-    return report
 
 
 def temporal_betweenness_all(

@@ -101,11 +101,11 @@ def parse_trace(
         if start >= end:
             bad(line_no, f"inverted interval [{start},{end})")
             continue
-        if u_name == v_name:
-            bad(line_no, f"self-loop on {u_name!r}")
-            continue
         if not u_name or not v_name:
             bad(line_no, "empty node name")
+            continue
+        if u_name == v_name:
+            bad(line_no, f"self-loop on {u_name!r}")
             continue
         u = ids.setdefault(u_name, len(ids))
         v = ids.setdefault(v_name, len(ids))

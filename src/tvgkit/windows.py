@@ -23,6 +23,7 @@ from .core import (
     Lifetime,
     PresenceSet,
     TimeVaryingGraph,
+    _count_links,
     restrict_nodes,
     temporal_subgraph,
 )
@@ -210,13 +211,7 @@ def _footprints(
                     links[w] += sign
                     common ^= 1 << w
         else:
-            # each pair once, its common neighbours counted at both ends
-            links = [0] * n
-            for u, v in pairs:
-                c = (bits[u] & bits[v]).bit_count()
-                links[u] += c
-                links[v] += c
-            links = [c // 2 for c in links]
+            links = _count_links(pairs, bits)
         deg = [b.bit_count() for b in bits]
         if node_policy == "all":
             nodes = range(n)

@@ -71,6 +71,12 @@ class TestParseTrace:
         assert len(res.graph.edges) == 2
         assert [line for line, _ in res.skipped] == [3, 4]
 
+    def test_empty_names_are_not_a_self_loop(self):
+        text = "u,v,start\na,b,1\n,,5\n"
+        with pytest.raises(TraceFormatError, match=r"^line 3: empty node name$"):
+            parse_trace(text)
+        assert parse_trace(text, strict=False).skipped == [(3, "empty node name")]
+
     def test_lenient_mode_still_needs_one_record(self):
         with pytest.raises(TraceFormatError, match="no valid records"):
             parse_trace("u,v,start\na,a,1\n", strict=False)

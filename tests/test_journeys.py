@@ -7,10 +7,8 @@ from hypothesis import given, settings, strategies as st
 from tvgkit import core
 from tvgkit.core import Lifetime, PresenceSet, build_tvg, footprint
 from tvgkit.journeys import (
+    _SEARCHES,
     _critical_ticks,
-    _earliest_arrival,
-    _layered_states,
-    _walk_back,
     count_minimal_journeys,
     distance_map,
     fastest_distance,
@@ -422,18 +420,18 @@ class TestWitness:
         self, seed, directed, strict, kind
     ):
         # a witness search stops once its target is settled; the full
-        # search's predecessor map must give the same journey
+        # search's records must give the same journey
         rng = random.Random(seed)
         g = random_tvg(rng, n_max=7, e_max=12, horizon=10, directed=directed)
         g = with_labelled_parallels(rng, g)
         t = rng.randrange(g.lifetime.start, g.lifetime.end)
         for u in range(g.n):
-            if kind == "shortest":
-                dist, pred = _layered_states(g, u, t, strict)
-                full = {v: _walk_back(pred, (0, u), (h, v)) for v, h in dist.items()}
-            else:
-                pred = _earliest_arrival(g, u, t, strict)[1]
-                full = {v: _walk_back(pred, u, v) for v in pred}
+            full = {}
+            for v, r in _SEARCHES[kind](g, u, t, strict)[1].items():
+                full[v] = []
+                while r is not None:
+                    r, ei, tp = r
+                    full[v].insert(0, (ei, tp))
             for v in range(g.n):
                 assert witness_journey(g, u, v, t, kind, strict) == full.get(v)
 

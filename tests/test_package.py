@@ -36,3 +36,27 @@ def test_import_graph_is_acyclic():
         tuple(TopologicalSorter(package_imports()).static_order())
     except CycleError as err:
         raise AssertionError(f"import cycle: {' -> '.join(err.args[1])}") from None
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names bound by the module-level imports of ``path`` that its code
+    never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import) or (
+            isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+        ):
+            imported.update((a.asname or a.name).split(".")[0] for a in stmt.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_module_imports_are_used():
+    # ``__init__`` imports only to re-export
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path))
+    }
+    assert not unused, f"unused module-level imports: {unused}"

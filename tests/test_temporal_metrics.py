@@ -19,7 +19,6 @@ from tvgkit.temporal_metrics import (
     _window_closeness,
     diameter,
     eccentricity,
-    eccentricity_report,
     temporal_betweenness,
     temporal_betweenness_all,
     temporal_closeness,
@@ -64,14 +63,12 @@ class TestEccentricity:
         for u in range(3):
             assert eccentricity(g, u, 0, "fastest") == 0.0
 
-    def test_report_collects_all_kinds(self):
+    def test_path_per_kind(self):
         g = always([(0, 1), (1, 2)], 3)
-        rep = eccentricity_report(g, 0)
-        assert rep.values["shortest"][0] == 2.0
-        assert rep.values["foremost"][0] == 0.0
-        assert rep.values["fastest"][0] == 0.0
-        assert rep.reachable_count[0] == 3
-        assert not rep.unbounded(0, "shortest")
+        assert eccentricity(g, 0, 0, "shortest") == 2.0
+        assert eccentricity(g, 0, 0, "foremost") == 0.0
+        assert eccentricity(g, 0, 0, "fastest") == 0.0
+        assert len(distance_map(g, 0, 0, "foremost")) == 3
 
 
 class TestDiameter:
@@ -304,6 +301,15 @@ class TestRestrictNodes:
         sub = restrict_nodes(g, [0, 1, 3])
         assert sub.n == 3
         assert sorted((e.u, e.v) for e in sub.edges) == [(0, 1), (1, 2)]
+
+    def test_rejects_nodes_outside_the_graph(self):
+        # an id past the end would add a phantom node; a negative one would
+        # shift every other id and rename the edges kept
+        g = build_tvg(3, False, Lifetime(0, 10), [(0, 1, 0, 4), (1, 2, 5, 9)])
+        with pytest.raises(ValueError, match=r"^node 99 outside \[0,3\)$"):
+            restrict_nodes(g, [0, 1, 99])
+        with pytest.raises(ValueError, match=r"^node -1 outside \[0,3\)$"):
+            restrict_nodes(g, [-1, 0, 1])
 
     def test_distances_agree_on_closed_subset(self):
         # restricting to a component never changes distances inside it
