@@ -10,6 +10,8 @@ caller's convention (seconds, days, ...).  All intervals are half-open
 from __future__ import annotations
 
 import bisect
+import functools
+import gc
 from dataclasses import dataclass
 from itertools import chain, starmap
 from operator import eq
@@ -50,6 +52,9 @@ class PresenceSet:
     """Sorted, disjoint, non-adjacent half-open integer intervals.
 
     Supports O(log k) membership and next/previous presence-time queries.
+    The interval starts and ends are kept in two tuples of ints: smaller
+    than lists, never changed after construction, and left untracked by the
+    cyclic garbage collector after its first pass over them.
     """
 
     __slots__ = ("_starts", "_ends")
@@ -68,7 +73,7 @@ class PresenceSet:
         p = cls.__new__(cls)
         if len(intervals) == 1:
             ((a, b),) = intervals
-            p._starts, p._ends = [a], [b]
+            p._starts, p._ends = (a,), (b,)
         else:
             p._starts, p._ends = _union(sorted(intervals))
         return p
@@ -88,7 +93,7 @@ class PresenceSet:
         )
 
     def __hash__(self):
-        return hash((tuple(self._starts), tuple(self._ends)))
+        return hash((self._starts, self._ends))
 
     def __repr__(self):
         body = " u ".join(f"[{a},{b})" for a, b in self.intervals)
@@ -123,10 +128,13 @@ class PresenceSet:
         lo = bisect.bisect_right(self._ends, a)
         hi = bisect.bisect_left(self._starts, b)
         p = PresenceSet.__new__(PresenceSet)
-        p._starts, p._ends = self._starts[lo:hi], self._ends[lo:hi]
+        starts, ends = self._starts[lo:hi], self._ends[lo:hi]
         if lo < hi:
-            p._starts[0] = max(p._starts[0], a)
-            p._ends[-1] = min(p._ends[-1], b)
+            if starts[0] < a:
+                starts = (a,) + starts[1:]
+            if ends[-1] > b:
+                ends = ends[:-1] + (b,)
+        p._starts, p._ends = starts, ends
         return p
 
     def intersects(self, a: int, b: int) -> bool:
@@ -134,7 +142,7 @@ class PresenceSet:
         return i < len(self._starts) and self._starts[i] < b
 
 
-def _union(intervals: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+def _union(intervals: list[tuple[int, int]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Starts and ends of the union of sorted non-empty intervals."""
     starts: list[int] = []
     ends: list[int] = []
@@ -145,7 +153,30 @@ def _union(intervals: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
         else:
             starts.append(a)
             ends.append(b)
-    return starts, ends
+    return tuple(starts), tuple(ends)
+
+
+def _collector_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused.
+
+    Graph building allocates tens of thousands of container objects (edges,
+    presence sets, event tuples), none of them in a reference cycle, and
+    every collection they trigger would also walk every graph still alive.
+    The collector is re-enabled on exit only if it was enabled on entry, so
+    an error, a nested pause or a caller that had it off find it as it was.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 class Timeline(NamedTuple):
@@ -454,6 +485,7 @@ class Footprint:
         )
 
 
+@_collector_paused
 def build_tvg(
     n: int,
     directed: bool,
@@ -464,6 +496,8 @@ def build_tvg(
 
     Overlapping and adjacent intervals of the same (u, v, label) edge are
     unioned; for undirected graphs endpoints are canonicalized to u < v.
+    Runs with the cyclic garbage collector paused, and leaves it enabled or
+    disabled as it found it, also when it raises.
     """
     by_edge: dict[tuple[int, int, Optional[str]], list[tuple[int, int]]] = {}
     for rec in events:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO, Union
 
-from .core import Lifetime, TimeVaryingGraph, build_tvg
+from .core import Lifetime, TimeVaryingGraph, _collector_paused, build_tvg
 
 HEADERS = (
     ["u", "v", "start"],
@@ -43,6 +43,7 @@ class ParseResult:
         return {name: i for i, name in enumerate(self.names)}
 
 
+@_collector_paused
 def parse_trace(
     source: Union[str, TextIO, Iterable[str]],
     directed: bool = False,
@@ -51,7 +52,11 @@ def parse_trace(
     """Parse a trace into a TVG plus the node name table.
 
     ``strict`` aborts on the first malformed record; otherwise bad records
-    are skipped and reported in ``ParseResult.skipped``.
+    are skipped and reported in ``ParseResult.skipped``.  A record the csv
+    reader cannot split (a field over its size limit, say) raises in both
+    modes, since the reader cannot resume after it.  Parsing, graph
+    building included, runs with the cyclic garbage collector paused, and
+    leaves it enabled or disabled as it found it, also when it raises.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -68,52 +73,55 @@ def parse_trace(
         skipped.append((line_no, msg))
 
     next_line = 1  # a record starts on the line after the last one read
-    for row in reader:
-        line_no, next_line = next_line, reader.line_num + 1
-        row = list(map(str.strip, row))
-        if not any(row):
-            continue
-        if header is None:
-            if row not in [list(h) for h in HEADERS]:
-                raise TraceFormatError(
-                    line_no, f"expected header u,v,start[,end][,label], got {','.join(row)}"
-                )
-            header = row
-            continue
-        if len(row) < 3 or len(row) > 5:
-            bad(line_no, f"expected 3-5 fields, got {len(row)}")
-            continue
-        u_name, v_name = row[0], row[1]
-        label = row[4] if len(row) == 5 and row[4] else None
-        try:
-            start = int(row[2])
-        except ValueError:
-            bad(line_no, f"non-integer start {row[2]!r}")
-            continue
-        if len(row) >= 4 and row[3]:
-            try:
-                end = int(row[3])
-            except ValueError:
-                bad(line_no, f"non-integer end {row[3]!r}")
+    try:
+        for row in reader:
+            line_no, next_line = next_line, reader.line_num + 1
+            row = list(map(str.strip, row))
+            if not any(row):
                 continue
-        else:
-            end = start + 1  # punctual contact
-        if start >= end:
-            bad(line_no, f"inverted interval [{start},{end})")
-            continue
-        if not u_name or not v_name:
-            bad(line_no, "empty node name")
-            continue
-        if u_name == v_name:
-            bad(line_no, f"self-loop on {u_name!r}")
-            continue
-        u = ids.setdefault(u_name, len(ids))
-        v = ids.setdefault(v_name, len(ids))
-        events.append((u, v, start, end, label))
-        if start < first:
-            first = start
-        if end > last:
-            last = end
+            if header is None:
+                if row not in [list(h) for h in HEADERS]:
+                    raise TraceFormatError(
+                        line_no, f"expected header u,v,start[,end][,label], got {','.join(row)}"
+                    )
+                header = row
+                continue
+            if len(row) < 3 or len(row) > 5:
+                bad(line_no, f"expected 3-5 fields, got {len(row)}")
+                continue
+            u_name, v_name = row[0], row[1]
+            label = row[4] if len(row) == 5 and row[4] else None
+            try:
+                start = int(row[2])
+            except ValueError:
+                bad(line_no, f"non-integer start {row[2]!r}")
+                continue
+            if len(row) >= 4 and row[3]:
+                try:
+                    end = int(row[3])
+                except ValueError:
+                    bad(line_no, f"non-integer end {row[3]!r}")
+                    continue
+            else:
+                end = start + 1  # punctual contact
+            if start >= end:
+                bad(line_no, f"inverted interval [{start},{end})")
+                continue
+            if not u_name or not v_name:
+                bad(line_no, "empty node name")
+                continue
+            if u_name == v_name:
+                bad(line_no, f"self-loop on {u_name!r}")
+                continue
+            u = ids.setdefault(u_name, len(ids))
+            v = ids.setdefault(v_name, len(ids))
+            events.append((u, v, start, end, label))
+            if start < first:
+                first = start
+            if end > last:
+                last = end
+    except csv.Error as exc:  # only the reader raises it
+        raise TraceFormatError(next_line, str(exc)) from exc
 
     if header is None:
         raise TraceFormatError(0, "empty input")

@@ -83,6 +83,34 @@ class TestPresenceSet:
         assert p.clip(t, t + width) == PresenceSet(clipped)
         assert p.clip(t, t + width).intervals == clipped
 
+    @pytest.mark.parametrize(
+        "built,intervals",
+        [
+            (lambda: PresenceSet._checked([(2, 5)]), [(2, 5)]),
+            (lambda: PresenceSet._checked([(6, 9), (0, 2), (5, 7)]), [(0, 2), (5, 9)]),
+            (lambda: PresenceSet([(0, 4), (6, 12)]).clip(2, 8), [(2, 4), (6, 8)]),
+            (lambda: PresenceSet([(0, 4), (6, 12)]).clip(0, 12), [(0, 4), (6, 12)]),
+            (lambda: PresenceSet([(0, 4), (6, 12)]).clip(1, 12), [(1, 4), (6, 12)]),
+            (lambda: PresenceSet([(0, 4), (6, 12)]).clip(4, 6), []),
+        ],
+        ids=["checked-one", "checked-several", "clip-clamped", "clip-whole",
+             "clip-clamped-first", "clip-empty"],
+    )
+    def test_every_construction_path_has_one_representation(self, built, intervals):
+        # starts and ends of another container type would compare unequal
+        # ([1] != (1,)) or fail to hash
+        p, ref = built(), PresenceSet(intervals)
+        assert p == ref and ref == p
+        assert hash(p) == hash(ref)
+        assert p.intervals == intervals
+
+    def test_clip_leaves_its_source_unchanged(self):
+        p = PresenceSet([(0, 4), (6, 12)])
+        for a, b in [(2, 8), (1, 12), (0, 5), (4, 6), (0, 12)]:
+            p.clip(a, b)
+        assert p == PresenceSet([(0, 4), (6, 12)])
+        assert p.intervals == [(0, 4), (6, 12)]
+
 
 class TestBuildTvg:
     def test_empty_event_list(self):

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import subprocess
@@ -20,6 +21,9 @@ a,b,0,5
 b,c,3,7
 a,c,6,9
 """
+
+#: a quoted name on line 3 longer than the csv module's field size limit
+LONG_FIELD_TRACE = 'u,v,start,end\na,b,0,2\n"' + "x" * 140_000 + '",c,1,3\nb,c,4,6\n'
 
 
 class TestParseTrace:
@@ -89,6 +93,45 @@ class TestParseTrace:
         res = parse_trace("u,v,start\nb,a,0\n", directed=True)
         e = res.graph.edges[0]
         assert (res.names[e.u], res.names[e.v]) == ("b", "a")
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_over_long_field_reports_its_line(self, strict):
+        # the reader cannot resume after it, so lenient mode raises too
+        with pytest.raises(TraceFormatError, match=r"^line 3: field larger than field limit"):
+            parse_trace(LONG_FIELD_TRACE, strict=strict)
+
+
+class TestCollectorPause:
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collector(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_build_tvg_restores_the_collector(self, collector):
+        build_tvg(3, False, Lifetime(0, 10), [(0, 1, 0, 4), (1, 2, 5, 9)])
+        assert gc.isenabled() is collector
+        with pytest.raises(ValueError, match="inverted"):
+            build_tvg(3, False, Lifetime(0, 10), [(0, 1, 0, 4), (1, 2, 9, 5)])
+        assert gc.isenabled() is collector
+
+    def test_parse_trace_restores_the_collector(self, collector):
+        parse_trace(TRACE)
+        assert gc.isenabled() is collector
+        with pytest.raises(TraceFormatError, match="inverted"):
+            parse_trace("u,v,start,end\na,b,5,2\n")
+        assert gc.isenabled() is collector
+        with pytest.raises(TraceFormatError, match="field limit"):
+            parse_trace(LONG_FIELD_TRACE, strict=False)
+        assert gc.isenabled() is collector
+
+    def test_parsed_presence_is_left_untracked(self):
+        g = parse_trace(generate_trace("uniform-random", seed=1, nodes=20, ticks=60)).graph
+        gc.collect()
+        assert not any(
+            gc.is_tracked(p._starts) or gc.is_tracked(p._ends) for p in g.presence
+        )
 
 
 class TestWriteTrace:
@@ -225,6 +268,13 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("u,v,start,end\na,b,5,2\n")
         assert self.run("footprint", str(bad), "--strict") == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--strict"]], ids=["lenient", "strict"])
+    def test_over_long_field_is_data_error(self, tmp_path, capsys, flags):
+        bad = tmp_path / "long.csv"
+        bad.write_text(LONG_FIELD_TRACE)
+        assert self.run("evolve", str(bad), "--window", "2", *flags) == 2
+        assert capsys.readouterr().err.startswith("tvgkit: data error: line 3: field larger")
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert self.run() == 1
