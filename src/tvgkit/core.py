@@ -204,9 +204,10 @@ class TimeVaryingGraph:
 
     What only journey searches read is built on first use and then kept,
     since the graph is immutable: the out- and in-adjacency behind
-    :meth:`out_edges` and :meth:`in_edges`, the :meth:`timeline` and the
-    :meth:`interval_table`.  A graph that only feeds footprints builds none
-    of them.
+    :meth:`out_edges` and :meth:`in_edges`, the :meth:`timeline`, the
+    :meth:`interval_table` and the route-move table that every route-count
+    pass on the graph shares (see ``journeys.minimal_route_counts``).  A
+    graph that only feeds footprints builds none of them.
     """
 
     def __init__(
@@ -246,6 +247,9 @@ class TimeVaryingGraph:
         self.presence = tuple(presence)
         self._timeline: Optional[Timeline] = None
         self._intervals: Optional[tuple] = None
+        # (kind, strict, limit) -> {state: the states it moves to}, filled
+        # by ``journeys.minimal_route_counts``
+        self._route_moves: dict[tuple, dict] = {}
 
     def _build_adjacency(self) -> None:
         # out- and in-adjacency; undirected, one list with both directions

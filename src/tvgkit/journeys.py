@@ -21,6 +21,11 @@ at the source.  Distances, witnesses and route-count bounds all read
 these two.  A distance search stops once every node is settled; the
 shortest and foremost searches stop once a witness target is, and the
 fastest pass cannot stop early.
+
+The route-count passes on one graph share their successors: the states
+that a ``(node, bound)`` state moves to are computed once per graph, kind,
+mode and (fastest) duration limit, and kept on the graph for every later
+source and hop.
 """
 
 from __future__ import annotations
@@ -367,6 +372,26 @@ def _fastest_step(pairs: tuple, p, strict: bool, limit: int) -> tuple:
     return tuple(out)
 
 
+def _moves(g: TimeVaryingGraph, key: tuple, kind: str, strict: bool, limit) -> tuple:
+    """The states that route-count state ``key = (node, bound)`` moves to,
+    one per out-edge it can cross, in edge order: ``(head, next bound)``,
+    where fastest's bound is the Pareto set that ``_fastest_step`` keeps
+    under ``limit``."""
+    x, state = key
+    out = []
+    for ei, y in g.out_edges(x):
+        p = g.presence[ei]
+        if kind == "fastest":
+            new = _fastest_step(state, p, strict, limit)
+            if new:
+                out.append((y, new))
+        else:
+            tp = p.next_at_or_after(state)
+            if tp is not None:
+                out.append((y, tp + 1 if strict else tp))
+    return tuple(out)
+
+
 def minimal_route_counts(
     g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool = False
 ) -> dict[int, tuple[int, int, tuple[int, ...]]]:
@@ -390,6 +415,11 @@ def minimal_route_counts(
     after the latest foremost arrival; fastest keys each state by the
     Pareto set of its ``(departure, bound)`` pairs and drops pairs longer
     than the largest fastest distance.
+
+    The passes on one graph share its route-move table: the states a
+    state moves to (``_moves``) depend on the kind, the strictness and
+    fastest's limit, not on the hop or the source.  Foremost's latest
+    crossing and shortest's earlier hops filter what the table returns.
     """
     _check_time(g, t)
     _check_kind(kind)
@@ -397,43 +427,43 @@ def minimal_route_counts(
     n = g.n
     start = t
     reached = {u: t}  # shortest: least bound per node over earlier hops
+    limit = None  # fastest: no minimal route lasts longer
     if kind != "shortest":
         # no minimal route is longer than the largest distance
         best = _SEARCHES[kind](g, u, t, strict)[0]
-        limit = max(best.values())
-        horizon = t + limit  # foremost: no minimal route crosses later
+        longest = max(best.values())
+        # foremost: the latest bound of a minimal route (it crosses by t + longest)
+        horizon = t + longest + 1 if strict else t + longest
     if kind == "fastest":
+        limit = longest
         # optimal fastest journeys depart at interval starts (waiting for an
         # edge) or last ticks (leaving just before one closes); strict ordering
         # forces one tick per hop, so each also shifts earlier by up to n - 1
         start = tuple((None, s) for s in _critical_ticks(g, t, n - 1 if strict else 0, 0))
 
+    moves = g._route_moves.setdefault((kind, strict, limit), {})
     layer = {(u, start): (1, [0] * n)}
     totals: dict[int, list] = {}
     for h in range(1, n):
         nxt: dict[tuple, tuple[int, list[int]]] = {}
-        for (x, state), (c, thr) in layer.items():
+        for key, (c, thr) in layer.items():
+            x = key[0]
             if x != u:
                 thr = thr.copy()
                 thr[x] = c
-            for ei, y in g.out_edges(x):
-                p = g.presence[ei]
-                if kind == "fastest":
-                    new = _fastest_step(state, p, strict, limit)
-                    if not new:
-                        continue
-                else:
-                    tp = p.next_at_or_after(state)
-                    if tp is None or (kind == "foremost" and tp > horizon):
-                        continue
-                    new = tp + 1 if strict else tp
-                    if kind == "shortest" and y in reached and reached[y] <= new:
-                        continue
-                acc = nxt.get((y, new))
+            succ = moves.get(key)
+            if succ is None:
+                succ = moves[key] = _moves(g, key, kind, strict, limit)
+            for dst in succ:
+                if kind == "foremost" and dst[1] > horizon:
+                    continue
+                if kind == "shortest" and reached.get(dst[0], math.inf) <= dst[1]:
+                    continue
+                acc = nxt.get(dst)
                 if acc is None:
-                    nxt[(y, new)] = (c, thr)
+                    nxt[dst] = (c, thr)
                 else:
-                    nxt[(y, new)] = (acc[0] + c, list(map(add, acc[1], thr)))
+                    nxt[dst] = (acc[0] + c, list(map(add, acc[1], thr)))
         for (y, state), (c, thr) in nxt.items():
             if y == u:
                 continue  # the empty route is the only minimal route to the source

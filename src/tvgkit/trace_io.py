@@ -2,9 +2,10 @@
 
 Trace format: UTF-8 CSV with LF line endings and header
 ``u,v,start[,end][,label]``.  Timestamps are raw integer ticks; a missing
-end column makes a record a punctual contact ``[start, start+1)``.  Node
-names are arbitrary text, interned to dense integer ids in order of first
-appearance.
+end column makes a record a punctual contact ``[start, start+1)``.  A
+record may have fewer fields than the header (at least three), but not
+more.  Node names are arbitrary text, interned to dense integer ids in
+order of first appearance.
 """
 
 from __future__ import annotations
@@ -86,8 +87,11 @@ def parse_trace(
                     )
                 header = row
                 continue
-            if len(row) < 3 or len(row) > 5:
-                bad(line_no, f"expected 3-5 fields, got {len(row)}")
+            if len(row) < 3:
+                bad(line_no, f"expected at least 3 fields, got {len(row)}")
+                continue
+            if len(row) > len(header):
+                bad(line_no, f"{len(row)} fields, but the header has {len(header)}")
                 continue
             u_name, v_name = row[0], row[1]
             label = row[4] if len(row) == 5 and row[4] else None

@@ -171,6 +171,29 @@ def oracle_route_count(g, u, v, t, kind, strict=False):
     return best, sum(1 for m in measures if m == best)
 
 
+def oracle_route_through(g, u, t, kind, strict=False):
+    """Per node v reachable from u: (distance, count of minimal routes up to
+    n-1 hops, per node q the count of those routes that leave q as an
+    interior node), by enumerating every feasible walk.  A walk counts once
+    for q however often it leaves q; the source is never interior."""
+    by_end = {}
+    for route, end in iter_feasible_walks(g, u, t, strict):
+        if end != u:
+            by_end.setdefault(end, []).append(
+                (walk_measure(g, route, t, kind, strict), route)
+            )
+    out = {u: (0, 1, (0,) * g.n)}
+    for v, walks in by_end.items():
+        best = min(m for m, _ in walks)
+        minimal = [route for m, route in walks if m == best]
+        through = [0] * g.n
+        for route in minimal:
+            for q in set(walk_nodes(g, u, route)[1:-1]) - {u}:
+                through[q] += 1
+        out[v] = (best, len(minimal), tuple(through))
+    return out
+
+
 def oracle_betweenness(g, t, kind, strict=False):
     """Per-node temporal betweenness by enumerating every feasible walk.
 

@@ -94,6 +94,28 @@ class TestParseTrace:
         e = res.graph.edges[0]
         assert (res.names[e.u], res.names[e.v]) == ("b", "a")
 
+    @pytest.mark.parametrize(
+        "header, wide",
+        [
+            ("u,v,start", "a,b,1,5"),
+            ("u,v,start,end", "b,c,2,3,bus"),
+            ("u,v,start,end,label", "b,c,2,3,bus,x"),
+        ],
+    )
+    def test_rows_wider_than_the_header_are_malformed(self, header, wide):
+        message = f"{wide.count(',') + 1} fields, but the header has {header.count(',') + 1}"
+        text = f"{header}\na,b,1\n{wide}\nb,c,4\n"
+        with pytest.raises(TraceFormatError, match=rf"^line 3: {message}$"):
+            parse_trace(text)
+        res = parse_trace(text, strict=False)
+        assert res.skipped == [(3, message)]
+        assert res.graph == parse_trace(f"{header}\na,b,1\nb,c,4\n").graph
+
+    def test_rows_narrower_than_the_header_are_punctual(self):
+        res = parse_trace("u,v,start,end,label\na,b,1\nb,c,2,4\n")
+        assert res.skipped == []
+        assert [p.intervals for p in res.graph.presence] == [[(1, 2)], [(2, 4)]]
+
     @pytest.mark.parametrize("strict", [True, False])
     def test_over_long_field_reports_its_line(self, strict):
         # the reader cannot resume after it, so lenient mode raises too
@@ -268,6 +290,16 @@ class TestCli:
         bad = tmp_path / "bad.csv"
         bad.write_text("u,v,start,end\na,b,5,2\n")
         assert self.run("footprint", str(bad), "--strict") == 2
+
+    def test_row_wider_than_the_header_is_data_error(self, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("u,v,start\na,b,1\nb,c,2,3\n")
+        assert self.run("footprint", str(wide), "--strict") == 2
+        err = capsys.readouterr().err
+        assert err == "tvgkit: data error: line 3: 4 fields, but the header has 3\n"
+        # lenient mode skips the row, and with it the only b-c contact
+        assert self.run("footprint", str(wide)) == 0
+        assert capsys.readouterr().out == "u,v\na,b\n"
 
     @pytest.mark.parametrize("flags", [[], ["--strict"]], ids=["lenient", "strict"])
     def test_over_long_field_is_data_error(self, tmp_path, capsys, flags):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvgkit import core
-from tvgkit.core import Lifetime, PresenceSet, build_tvg, footprint
+from tvgkit.core import Lifetime, PresenceSet, TimeVaryingGraph, build_tvg, footprint
 from tvgkit.journeys import (
+    KINDS,
     _SEARCHES,
     _critical_ticks,
     count_minimal_journeys,
@@ -19,14 +20,16 @@ from tvgkit.journeys import (
     temporal_view,
     witness_journey,
 )
-from tvgkit.temporal_metrics import temporal_betweenness
+from tvgkit.temporal_metrics import temporal_betweenness, temporal_betweenness_all
 
 from oracles import (
     greedy_crossings,
     iter_feasible_walks,
+    oracle_betweenness,
     oracle_distances,
     oracle_fastest_departures,
     oracle_route_count,
+    oracle_route_through,
     random_always_on_tvg,
     random_tvg,
 )
@@ -250,6 +253,19 @@ class TestTemporalView:
                     assert temporal_view(g, u, v, t) == best
 
 
+@st.composite
+def bouncing_graphs(draw):
+    """(graph, start time): an undirected graph of at most 6 nodes whose
+    punctual contacts share 3 ticks, so that walks cross back and forth
+    within one tick; some links have a labelled parallel copy."""
+    n = draw(st.integers(2, 6))
+    pair = st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)
+    contact = st.tuples(pair, st.integers(0, 2), st.sampled_from([None, "alt"]))
+    contacts = draw(st.lists(contact, min_size=1, max_size=8))
+    events = [(x, y, a, a + 1, label) for (x, y), a, label in contacts]
+    return build_tvg(n, False, Lifetime(0, 3), events), draw(st.integers(0, 2))
+
+
 class TestRouteCounts:
     def test_diamond_two_shortest_routes(self):
         g = tvg([(0, 1, 0, 10), (1, 3, 0, 10), (0, 2, 0, 10), (2, 3, 0, 10)], n=4)
@@ -303,6 +319,45 @@ class TestRouteCounts:
         d, c, through = minimal_route_counts(g, 0, 0, "foremost")[3]
         assert (d, c) == (5, 2)
         assert through == (0, 2, 1, 0, 0)  # the revisiting route adds 1 to node 1, not 2
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_one_move_table_serves_every_caller_exactly(self, directed):
+        # passes for every source, start, kind and mode, interleaved on one
+        # graph, share its route-move tables; each must equal the same pass
+        # on a fresh, equal graph, whose tables are empty
+        def fresh(g):
+            return TimeVaryingGraph(g.n, g.directed, g.lifetime, g.edges, g.presence)
+
+        rng = random.Random(83 if directed else 89)
+        for _ in range(12):
+            g = random_tvg(rng, n_max=6, e_max=9, horizon=10, directed=directed)
+            g = with_labelled_parallels(rng, g)
+            starts = rng.sample(range(g.lifetime.start, g.lifetime.end), 3)
+            modes = [(kind, strict) for kind in KINDS for strict in (False, True)]
+            calls = [(u, t, *mode) for u in range(g.n) for t in starts for mode in modes]
+            rng.shuffle(calls)
+            for u, t, kind, strict in calls:
+                got = minimal_route_counts(g, u, t, kind, strict)
+                assert list(got.items()) == list(
+                    minimal_route_counts(fresh(g), u, t, kind, strict).items()
+                )
+            assert {key[:2] for key in g._route_moves} == set(modes)
+            for (kind, strict), t in zip(modes, starts * 2):
+                assert temporal_betweenness_all(g, t, kind, strict) == (
+                    temporal_betweenness_all(fresh(g), t, kind, strict)
+                )
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=bouncing_graphs(), kind=st.sampled_from(KINDS), strict=st.booleans())
+    def test_zero_latency_back_and_forth_matches_walk_enumeration(self, case, kind, strict):
+        g, t = case
+        for u in range(g.n):
+            assert minimal_route_counts(g, u, t, kind, strict) == (
+                oracle_route_through(g, u, t, kind, strict)
+            )
+        assert temporal_betweenness_all(g, t, kind, strict) == pytest.approx(
+            oracle_betweenness(g, t, kind, strict)
+        )
 
 
 class TestOracleSweep:

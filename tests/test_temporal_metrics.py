@@ -13,7 +13,14 @@ from tvgkit.core import (
     restrict_nodes,
     temporal_subgraph,
 )
-from tvgkit.journeys import distance_map, fastest_distance, minimal_route_counts
+from tvgkit.journeys import (
+    KINDS,
+    distance_map,
+    fastest_distance,
+    minimal_route_counts,
+    temporal_view,
+    witness_journey,
+)
 from tvgkit.temporal_metrics import (
     _reduce,
     _window_closeness,
@@ -23,7 +30,7 @@ from tvgkit.temporal_metrics import (
     temporal_betweenness_all,
     temporal_closeness,
 )
-from tvgkit.windows import WindowSpec, evolve, windows_of
+from tvgkit.windows import WindowSpec, evolve, evolve_many, windows_of
 
 from oracles import (
     oracle_betweenness,
@@ -256,6 +263,50 @@ class TestTimelineBuilds:
             assert any(v > 0 for v in series.values)
         with pytest.raises(AssertionError, match="interval table"):
             fastest_distance(g, 0, 1)
+
+
+class TestRouteMoveTables:
+    """Route-move tables are filled by route-count passes only, on the
+    graph they run on."""
+
+    EVENTS = [(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)]
+
+    def test_other_questions_fill_none(self):
+        g = tvg(self.EVENTS, n=4)
+        assert g._route_moves == {}
+        evolve_many(g, WindowSpec(4, 2), ["density", "avg_clustering", "avg_modularity"])
+        for kind in KINDS:
+            for strict in (False, True):
+                for u in range(g.n):
+                    distance_map(g, u, 1, kind, strict)
+                    witness_journey(g, u, 3, 0, kind, strict)
+                    temporal_closeness(g, u, 2, kind, strict)
+                    temporal_view(g, u, 3, 9, strict)
+                diameter(g, 0, kind, strict)
+                evolve_many(g, WindowSpec(4), ["closeness", "diameter"], kind=kind, strict=strict)
+        assert g._route_moves == {}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_betweenness_series_fills_only_its_window_graphs(self, monkeypatch, kind):
+        counted = []
+
+        def recording(sub, u, t, kind, strict=False):
+            counted.append(sub)
+            return minimal_route_counts(sub, u, t, kind, strict)
+
+        monkeypatch.setattr("tvgkit.temporal_metrics.minimal_route_counts", recording)
+        g = tvg(self.EVENTS, n=4)
+        series = evolve(g, WindowSpec(4), "betweenness", kind=kind)
+        subs = list({id(sub): sub for sub in counted}.values())
+        assert len(subs) == len(series.values) == 3
+        assert all(sub is not g for sub in subs)
+        assert g._route_moves == {}
+        for sub in subs:
+            assert {key[:2] for key in sub._route_moves} == {(kind, False)}
+            assert all(sub._route_moves.values())
+            # a graph derived from it starts with no table
+            a, b = sub.lifetime.start, sub.lifetime.end
+            assert temporal_subgraph(sub, a, b)._route_moves == {}
 
 
 class TestReduce:
