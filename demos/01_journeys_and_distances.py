@@ -13,14 +13,7 @@ This script builds a tiny commuter-style contact trace and shows how the
 three distances disagree on it.
 """
 
-from tvgkit import (
-    Lifetime,
-    build_tvg,
-    fastest_distance,
-    foremost_distance,
-    shortest_distance,
-    witness_journey,
-)
+from tvgkit import Lifetime, build_tvg, distance_map, witness_journey
 
 # Four stations.  A slow two-hop connection runs early; a direct line
 # opens much later.  Time is in abstract ticks.
@@ -38,9 +31,9 @@ g = build_tvg(
 
 u, t = 0, 0
 print(f"from node {u} at t={t}")
-print(f"  shortest (hops):     {shortest_distance(g, u, t)}")
-print(f"  foremost (delay):    {foremost_distance(g, u, t)}")
-print(f"  fastest (duration):  {fastest_distance(g, u, t)}")
+print(f"  shortest (hops):     {distance_map(g, u, t, 'shortest')}")
+print(f"  foremost (delay):    {distance_map(g, u, t, 'foremost')}")
+print(f"  fastest (duration):  {distance_map(g, u, t, 'fastest')}")
 
 # Node 2 illustrates the split.  Fewest hops: wait for the direct line
 # (1 hop, but you arrive at 15).  Earliest arrival: take the morning

@@ -7,7 +7,7 @@ order.  This is the canonical pitfall of static snapshots of dynamic
 networks.
 """
 
-from tvgkit import Lifetime, build_tvg, foremost_distance, footprint
+from tvgkit import Lifetime, build_tvg, distance_map, footprint
 
 # Edge (1,2) lives early, edge (0,1) only later.  The footprint over the
 # whole lifetime is the path 0-1-2, but nobody starting at node 0 can
@@ -25,9 +25,9 @@ g = build_tvg(
 f = footprint(g, 0, 8)
 print(f"footprint edges over [0,8): {sorted(f.edges)}")
 
-reach = foremost_distance(g, 0, 0)
+reach = distance_map(g, 0, 0, "foremost")
 print(f"nodes reachable from 0 by journey: {sorted(reach)}")
 assert 2 not in reach, "no journey can reorder time"
 
 # The reverse direction works fine: 2 -> 1 at t=1, then 1 -> 0 at t=5.
-print(f"nodes reachable from 2 by journey: {sorted(foremost_distance(g, 2, 0))}")
+print(f"nodes reachable from 2 by journey: {sorted(distance_map(g, 2, 0, 'foremost'))}")

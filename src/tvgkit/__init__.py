@@ -21,10 +21,7 @@ from .core import (
 from .journeys import (
     count_minimal_journeys,
     distance_map,
-    fastest_distance,
-    foremost_distance,
     is_journey,
-    shortest_distance,
     temporal_view,
     witness_journey,
 )

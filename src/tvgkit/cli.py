@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--strict",
             action="store_true",
-            help="abort on the first malformed trace record instead of skipping",
+            help="abort on the first malformed trace record instead of skipping it "
+            "(skips are counted on stderr)",
         )
 
     p = sub.add_parser("evolve", help="windowed indicator time series")
@@ -102,15 +103,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_trace(args) -> trace_io.ParseResult:
+    """Parse the input trace; in lenient mode, report skipped records on stderr."""
     try:
         if args.input == "-":
-            return trace_io.parse_trace(sys.stdin, args.directed, args.strict)
-        with open(args.input, encoding="utf-8", newline="") as fh:
-            return trace_io.parse_trace(fh, args.directed, args.strict)
+            result = trace_io.parse_trace(sys.stdin, args.directed, args.strict)
+        else:
+            with open(args.input, encoding="utf-8", newline="") as fh:
+                result = trace_io.parse_trace(fh, args.directed, args.strict)
     except OSError as exc:
         raise DataError(f"cannot read {args.input}: {exc}") from exc
     except TraceFormatError as exc:
         raise DataError(str(exc)) from exc
+    if result.skipped:
+        line, message = result.skipped[0]
+        print(
+            f"tvgkit: warning: skipped {len(result.skipped)} malformed record(s); "
+            f"first at line {line}: {message}",
+            file=sys.stderr,
+        )
+    return result
 
 
 def _emit(text: str, path: Optional[str]) -> None:

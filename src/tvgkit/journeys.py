@@ -10,7 +10,7 @@ arrival after a start time) and fastest (smallest arrival minus departure).
 Each kind has one search: shortest a pruned hop-by-hop search, foremost
 an earliest-arrival search and fastest one time-forward pass over the
 critical times at or after the start time, with one label per node (see
-``fastest_distance``).  A pass that starts after the lifetime start takes
+``_fastest_flood``).  A pass that starts after the lifetime start takes
 the arcs present at the start time from the graph's interval table, which
 is built only for such a pass.
 
@@ -121,13 +121,6 @@ def _earliest_arrival(
     return {v: a - t for v, a in arrival.items()}, rec
 
 
-def foremost_distance(
-    g: TimeVaryingGraph, u: int, t: int, strict: bool = False
-) -> dict[int, int]:
-    """Minimal arrival delay after ``t`` per reachable node (unreachable absent)."""
-    return distance_map(g, u, t, "foremost", strict)
-
-
 def _layered_states(
     g: TimeVaryingGraph, u: int, t: int, strict: bool = False, target: Optional[int] = None
 ):
@@ -166,13 +159,6 @@ def _layered_states(
     return dist, records
 
 
-def shortest_distance(
-    g: TimeVaryingGraph, u: int, t: int, strict: bool = False
-) -> dict[int, int]:
-    """Minimal hop count per reachable node over journeys departing >= ``t``."""
-    return distance_map(g, u, t, "shortest", strict)
-
-
 def _critical_ticks(g: TimeVaryingGraph, t: int, before: int, after: int):
     """Ascending ticks of ``[t, end)`` at most ``before`` ticks before or
     ``after`` ticks after ``t`` or a critical time at or after ``t``."""
@@ -186,8 +172,21 @@ def _critical_ticks(g: TimeVaryingGraph, t: int, before: int, after: int):
 
 
 def _fastest_flood(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
-    """(dur, witness) of ``fastest_distance``: witness[v] is the record of
-    a fastest journey to v, kept when v first reached its duration."""
+    """Minimal journey duration (arrival - departure) per reachable node.
+
+    One pass over the critical times at or after ``t`` (``t``, interval
+    starts and interval last ticks; strict mode adds the ticks within n-1
+    of them).  Each node keeps the latest departure of a journey that has
+    reached it so far; at each time the source departs, newly opened
+    intervals join, and labels spread over the present edges until nothing
+    changes (strict: one hop per tick).  A node whose label rises to d at
+    time s has a journey of duration s - d; the first time a duration is
+    reached it goes with the earliest departure, which wins ties.  No
+    duration improves after the last interval start (strict: n-1 ticks
+    later), so the pass stops there.  Returns (dur, witness): witness[v]
+    is the record of a fastest journey to v, kept when v first reached
+    its duration.
+    """
     _, opening, closing = g.timeline()
     # present[x]: {edge: head} of the arcs out of x present at the current
     # tick, in edge order; at the lifetime start every interval open at t
@@ -239,25 +238,6 @@ def _fastest_flood(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
         for x, ei, _ in closing.get(s, ()):
             del present[x][ei]
     return dur, witness
-
-
-def fastest_distance(
-    g: TimeVaryingGraph, u: int, t: int, strict: bool = False
-) -> dict[int, int]:
-    """Minimal journey duration (arrival - departure) per reachable node.
-
-    One pass over the critical times at or after ``t`` (``t``, interval
-    starts and interval last ticks; strict mode adds the ticks within n-1
-    of them).  Each node keeps the latest departure of a journey that has
-    reached it so far; at each time the source departs, newly opened
-    intervals join, and labels spread over the present edges until nothing
-    changes (strict: one hop per tick).  A node whose label rises to d at
-    time s has a journey of duration s - d; the first time a duration is
-    reached it goes with the earliest departure, which wins ties.  No
-    duration improves after the last interval start (strict: n-1 ticks
-    later), so the pass stops there.
-    """
-    return distance_map(g, u, t, "fastest", strict)
 
 
 #: distance kind -> its search: (g, u, t, strict) -> (distances, records)
@@ -312,7 +292,7 @@ def witness_journey(
     which v first enters the pruned layers, foremost from v's earliest
     arrival; both searches stop once v is settled, which leaves its
     record as the full search has it.  Fastest takes the record that the
-    pass of ``fastest_distance`` kept when v first reached its duration,
+    pass of ``_fastest_flood`` kept when v first reached its duration,
     so it departs at the earliest departure of any fastest journey.
     """
     _check_time(g, t)
@@ -339,7 +319,10 @@ def witness_journey(
 def distance_map(
     g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool = False
 ) -> dict[int, int]:
-    """The ``kind`` distance from ``u`` at ``t`` per reachable node."""
+    """The ``kind`` distance from ``u`` at ``t`` per reachable node
+    (unreachable nodes absent): the fewest hops (shortest), the least
+    arrival delay after ``t`` (foremost) or the least duration (fastest)
+    over journeys departing at or after ``t``."""
     _check_kind(kind)
     _check_time(g, t)
     _check_node(g, u)

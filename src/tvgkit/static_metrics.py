@@ -164,23 +164,22 @@ class ConductanceResult:
         return self.value
 
 
-def graph_conductance(
-    f: Footprint, max_exact: int = EXACT_CONDUCTANCE_LIMIT, approximate: bool = False
-) -> ConductanceResult:
+def graph_conductance(f: Footprint, approximate: bool = False) -> ConductanceResult:
     """Minimum conductance over all cuts.
 
-    Exhaustive (exact) up to ``max_exact`` nodes; beyond that, returns the
-    spectral sweep-cut upper bound provided ``approximate`` was requested,
-    and raises otherwise.
+    Exhaustive (exact) up to ``EXACT_CONDUCTANCE_LIMIT`` nodes; beyond
+    that, returns the spectral sweep-cut upper bound provided
+    ``approximate`` was requested, and raises ``LimitExceededError``
+    otherwise.
     """
     n = f.num_nodes
     if n < 2:
         return ConductanceResult(math.nan, True)
-    if n <= max_exact:
+    if n <= EXACT_CONDUCTANCE_LIMIT:
         return ConductanceResult(_exhaustive_conductance(f), True)
     if not approximate:
         raise LimitExceededError(
-            f"{n} nodes exceed the exhaustive limit {max_exact}; "
+            f"{n} nodes exceed the exhaustive limit {EXACT_CONDUCTANCE_LIMIT}; "
             "pass approximate=True for the spectral sweep bound"
         )
     return ConductanceResult(_sweep_cut_bound(f), False)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from typing import Optional, TextIO
 
 KINDS = ("phase-transition", "uniform-random", "star-burst")
 
@@ -19,7 +18,6 @@ KINDS = ("phase-transition", "uniform-random", "star-burst")
 def generate_trace(
     kind: str,
     seed: int = 0,
-    out: Optional[TextIO] = None,
     *,
     nodes: int = 60,
     window: int = 10,
@@ -30,7 +28,7 @@ def generate_trace(
     period: int = 10,
     burst: int = 2,
 ) -> str:
-    """Generate a synthetic trace of the given kind.
+    """The text of a synthetic trace of the given kind.
 
     Parameters are per kind: ``phase-transition`` uses nodes/window/
     phase_windows; ``uniform-random`` uses nodes/ticks/p; ``star-burst``
@@ -44,10 +42,7 @@ def generate_trace(
         rows = _star_burst(leaves, ticks, period, burst)
     else:
         raise ValueError(f"unknown synthetic kind {kind!r}; pick one of {KINDS}")
-    text = "u,v,start\n" + "".join(f"n{u},n{v},{t}\n" for u, v, t in rows)
-    if out is not None:
-        out.write(text)
-    return text
+    return "u,v,start\n" + "".join(f"n{u},n{v},{t}\n" for u, v, t in rows)
 
 
 def _phase_transition(seed: int, n: int, window: int, phase_windows: int):

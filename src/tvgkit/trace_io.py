@@ -14,6 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional, TextIO, Union
 
 from .core import Lifetime, TimeVaryingGraph, _collector_paused, build_tvg
@@ -135,12 +136,13 @@ def parse_trace(
     return ParseResult(graph, list(ids), skipped)
 
 
-def write_trace(
-    g: TimeVaryingGraph, names: Optional[list[str]] = None, out: Optional[TextIO] = None
-) -> str:
+def write_trace(g: TimeVaryingGraph, names: Optional[list[str]] = None) -> str:
     """Canonical trace text for ``g``: one row per edge presence interval,
     sorted; parses back to an equal graph (given every node has an edge
-    and the lifetime is the hull of the intervals)."""
+    and the lifetime is the hull of the intervals).  Rows are CSV, so a
+    name or label with a comma, a double quote or a line break is quoted;
+    other fields are written bare, unless some name or label holds a
+    carriage return: then every field is quoted."""
     if names is None:
         names = [str(i) for i in range(g.n)]
     has_labels = any(e.label for e in g.edges)
@@ -152,8 +154,13 @@ def write_trace(
                 row.append(e.label or "")
             rows.append(row)
     rows.sort(key=lambda r: (r[0], r[1], int(r[2]), int(r[3])))
-    header = "u,v,start,end" + (",label" if has_labels else "")
-    text = header + "\n" + "".join(",".join(r) + "\n" for r in rows)
-    if out is not None:
-        out.write(text)
-    return text
+    # the writer quotes a field with a "\n" (its line terminator) but not
+    # one with a bare "\r", which ends the record on reading
+    bare_cr = any("\r" in x for x in chain(names, (e.label or "" for e in g.edges)))
+    buf = io.StringIO()
+    writer = csv.writer(
+        buf, lineterminator="\n", quoting=csv.QUOTE_ALL if bare_cr else csv.QUOTE_MINIMAL
+    )
+    writer.writerow(HEADERS[2 if has_labels else 1])
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -11,14 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from tvgkit import cli
+from tvgkit import cli, static_metrics
 from tvgkit.core import Lifetime, build_tvg, footprint
 from tvgkit.journeys import (
     count_minimal_journeys,
     distance_map,
-    fastest_distance,
-    foremost_distance,
-    shortest_distance,
 )
 from tvgkit.static_metrics import (
     average_clustering,
@@ -58,9 +55,9 @@ def test_1_journey_oracle_suite():
         t = rng.randrange(g.lifetime.start, g.lifetime.end)
         for u in range(g.n):
             expect = oracle_distances(g, u, t)
-            assert shortest_distance(g, u, t) == expect["shortest"]
-            assert foremost_distance(g, u, t) == expect["foremost"]
-            assert fastest_distance(g, u, t) == expect["fastest"]
+            assert distance_map(g, u, t, "shortest") == expect["shortest"]
+            assert distance_map(g, u, t, "foremost") == expect["foremost"]
+            assert distance_map(g, u, t, "fastest") == expect["fastest"]
         u, v = rng.sample(range(g.n), 2)
         for kind in ("shortest", "foremost", "fastest"):
             assert count_minimal_journeys(g, u, v, t, kind) == oracle_route_count(
@@ -75,7 +72,7 @@ def test_2_footprint_vs_journey_separation():
     f = footprint(g, 0, 8)
     assert f.edges == {(0, 1), (1, 2)}  # static path exists
     assert not oracle_journey_exists(g, 0, 2, 0)  # brute force
-    assert 2 not in foremost_distance(g, 0, 0)  # algorithm
+    assert 2 not in distance_map(g, 0, 0, "foremost")  # algorithm
 
 
 def test_3_static_indicator_closed_forms():
@@ -97,7 +94,7 @@ def test_3_static_indicator_closed_forms():
     assert graph_conductance(fp(6, bridge)).value == 1 / 7
 
 
-def test_4_conductance_oracle():
+def test_4_conductance_oracle(monkeypatch):
     """100 graphs <= 12 nodes: exhaustive == enumeration; sweep bound >= it."""
     rng = random.Random(404)
     checked = 0
@@ -117,7 +114,9 @@ def test_4_conductance_oracle():
             assert math.isnan(exact)
             continue
         assert exact == expect
-        sweep = graph_conductance(f, max_exact=1, approximate=True).value
+        with monkeypatch.context() as m:  # past the limit: the sweep bound
+            m.setattr(static_metrics, "EXACT_CONDUCTANCE_LIMIT", 1)
+            sweep = graph_conductance(f, approximate=True).value
         assert sweep >= exact
         checked += 1
     assert checked >= 80

@@ -172,6 +172,24 @@ class TestWriteTrace:
 
             assert table(res.graph, res.names) == table(g, names)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "u,v,start,end,label\n"
+            '"a,b",c,1,3,"x,y"\n'
+            'c,"d ""q""",2,4\n'
+            '"e\nf","d ""q""",0,2,"two\nlines"\n',
+            'u,v,start,end\n"a\rb",c,1,3\nc,d,2,4\n',
+        ],
+        ids=["comma-quote-newline", "carriage-return"],
+    )
+    def test_round_trip_quotes_names_and_labels(self, text):
+        res = parse_trace(text)
+        out = write_trace(res.graph, res.names)
+        back = parse_trace(out)
+        assert (back.names, back.graph) == (res.names, res.graph)
+        assert write_trace(back.graph, back.names) == out
+
     def test_output_is_canonical_and_stable(self):
         g = build_tvg(
             3, False, Lifetime(0, 9), [(1, 0, 4, 6), (0, 1, 0, 2), (1, 2, 3, 7)]
@@ -300,6 +318,25 @@ class TestCli:
         # lenient mode skips the row, and with it the only b-c contact
         assert self.run("footprint", str(wide)) == 0
         assert capsys.readouterr().out == "u,v\na,b\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["footprint"], ["evolve", "--window", "2"]], ids=["footprint", "evolve"]
+    )
+    def test_lenient_mode_reports_skipped_records(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("u,v,start\na,b,1\nb,c,2,3\nc,d,x\na,c,2\n")
+        assert self.run(argv[0], str(bad), *argv[1:]) == 0
+        out, err = capsys.readouterr()
+        assert out
+        assert err == (
+            "tvgkit: warning: skipped 2 malformed record(s); "
+            "first at line 3: 4 fields, but the header has 3\n"
+        )
+
+    def test_clean_trace_leaves_stderr_empty(self, trace_file, capsys):
+        assert self.run("footprint", trace_file) == 0
+        assert self.run("evolve", trace_file, "--window", "3") == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("flags", [[], ["--strict"]], ids=["lenient", "strict"])
     def test_over_long_field_is_data_error(self, tmp_path, capsys, flags):

@@ -12,11 +12,8 @@ from tvgkit.journeys import (
     _critical_ticks,
     count_minimal_journeys,
     distance_map,
-    fastest_distance,
-    foremost_distance,
     is_journey,
     minimal_route_counts,
-    shortest_distance,
     temporal_view,
     witness_journey,
 )
@@ -99,19 +96,19 @@ class TestIsJourney:
 class TestForemost:
     def test_same_instant_two_hop_chain(self):
         g = tvg([(0, 1, 3, 4), (1, 2, 3, 4)])
-        d = foremost_distance(g, 0, 0)
+        d = distance_map(g, 0, 0, "foremost")
         assert d == {0: 0, 1: 3, 2: 3}
 
     def test_missed_relay_unreachable(self):
         g = tvg([(0, 1, 3, 4), (1, 2, 1, 2)])
-        d = foremost_distance(g, 0, 0)
+        d = distance_map(g, 0, 0, "foremost")
         assert 2 not in d
         assert d[1] == 3
 
     def test_self_distance_zero_for_every_t(self):
         g = tvg([(0, 1, 3, 4)])
         for t in range(0, 10):
-            assert foremost_distance(g, 0, t)[0] == 0
+            assert distance_map(g, 0, t, "foremost")[0] == 0
 
     def test_later_start_never_earlier_arrival(self):
         rng = random.Random(31)
@@ -120,7 +117,7 @@ class TestForemost:
             u = rng.randrange(g.n)
             prev = {}
             for t in range(g.lifetime.start, g.lifetime.end):
-                d = foremost_distance(g, u, t)
+                d = distance_map(g, u, t, "foremost")
                 for v, delay in d.items():
                     assert delay >= 0
                     if v in prev:
@@ -131,7 +128,7 @@ class TestForemost:
 class TestShortest:
     def test_later_direct_edge_beats_earlier_two_hop(self):
         g = tvg([(0, 1, 0, 1), (1, 2, 2, 3), (0, 2, 9, 10)])
-        assert shortest_distance(g, 0, 0)[2] == 1
+        assert distance_map(g, 0, 0, "shortest")[2] == 1
 
     def test_always_present_equals_static_bfs(self):
         import networkx as nx
@@ -140,50 +137,50 @@ class TestShortest:
         for _ in range(20):
             g = random_always_on_tvg(rng)
             G = nx.Graph([(e.u, e.v) for e in g.edges])
-            d = shortest_distance(g, 0, 0)
+            d = distance_map(g, 0, 0, "shortest")
             if 0 in G:
                 ref = nx.single_source_shortest_path_length(G, 0)
                 assert {v: h for v, h in d.items() if v in ref} == dict(ref)
 
     def test_self_distance_zero(self):
         g = tvg([(0, 1, 0, 2)])
-        assert shortest_distance(g, 0, 5)[0] == 0
+        assert distance_map(g, 0, 5, "shortest")[0] == 0
 
 
 class TestFastest:
     def test_wait_for_relay_gives_zero_duration(self):
         g = tvg([(0, 1, 0, 10), (1, 2, 5, 6)])
-        assert fastest_distance(g, 0, 0)[2] == 0
+        assert distance_map(g, 0, 0, "fastest")[2] == 0
 
     def test_static_graph_all_durations_zero(self):
         g = tvg([(0, 1, 0, 10), (1, 2, 0, 10)])
-        assert fastest_distance(g, 0, 0) == {0: 0, 1: 0, 2: 0}
+        assert distance_map(g, 0, 0, "fastest") == {0: 0, 1: 0, 2: 0}
 
     def test_unreachable_absent(self):
         g = tvg([(0, 1, 0, 2)], n=3)
-        assert 2 not in fastest_distance(g, 0, 0)
+        assert 2 not in distance_map(g, 0, 0, "fastest")
 
     def test_late_midinterval_departure_found(self):
         # leaving a long-open first edge as late as possible matters
         g = tvg([(0, 1, 0, 10), (1, 2, 9, 10)])
-        assert fastest_distance(g, 0, 0)[2] == 0
+        assert distance_map(g, 0, 0, "fastest")[2] == 0
 
     def test_departure_between_onsets(self):
         # optimal departure 4 = last tick of [0,5), neither an onset nor t
         g = tvg([(0, 1, 0, 5), (1, 2, 7, 9)])
-        assert fastest_distance(g, 0, 0)[2] == 3
+        assert distance_map(g, 0, 0, "fastest")[2] == 3
 
     def test_witness_departs_at_earliest_of_tied_departures(self):
         # departing at 0 or at 5 both give duration 0; the witness leaves at 0
         g = tvg([(0, 1, 0, 1), (0, 1, 5, 6), (1, 2, 0, 1), (1, 2, 5, 6)])
-        assert fastest_distance(g, 0, 0)[2] == 0
+        assert distance_map(g, 0, 0, "fastest")[2] == 0
         assert witness_journey(g, 0, 2, 0, "fastest") == [(0, 0), (1, 0)]
 
     def test_later_departure_overtakes_an_earlier_one(self):
         # departing at 9 reaches 2..5 at 9; departing at 0 reaches 2 no earlier
         chain = [(i, i + 1, 9, 10) for i in range(1, 5)]
         g = tvg([(0, 1, 0, 10)] + chain, n=6)
-        assert fastest_distance(g, 0, 0) == {v: 0 for v in range(6)}
+        assert distance_map(g, 0, 0, "fastest") == {v: 0 for v in range(6)}
         assert witness_journey(g, 0, 5, 0, "fastest")[0][1] == 9
 
     def test_strict_hops_next_to_critical_times(self):
@@ -191,16 +188,16 @@ class TestFastest:
         # critical time (leave at 8, not 0) or just after the last (cross 1-2
         # at 3): ticks that are neither t nor critical
         late = tvg([(0, 1, 0, 10), (1, 2, 9, 10)])
-        assert fastest_distance(late, 0, 0, strict=True) == {0: 0, 1: 0, 2: 1}
+        assert distance_map(late, 0, 0, "fastest", strict=True) == {0: 0, 1: 0, 2: 1}
         assert witness_journey(late, 0, 2, 0, "fastest", strict=True) == [(0, 8), (1, 9)]
         early = tvg([(0, 1, 2, 3), (1, 2, 0, 10)])
-        assert fastest_distance(early, 0, 0, strict=True) == {0: 0, 1: 0, 2: 1}
+        assert distance_map(early, 0, 0, "fastest", strict=True) == {0: 0, 1: 0, 2: 1}
         assert witness_journey(early, 0, 2, 0, "fastest", strict=True) == [(0, 2), (1, 3)]
 
     def test_edgeless_graph_reaches_only_the_source(self):
         g = tvg([], n=2)
         for strict in (False, True):
-            assert fastest_distance(g, 0, 3, strict) == {0: 0}
+            assert distance_map(g, 0, 3, "fastest", strict) == {0: 0}
             assert witness_journey(g, 0, 1, 3, "fastest", strict) is None
 
     def test_fastest_at_most_foremost(self):
@@ -209,8 +206,8 @@ class TestFastest:
             g = random_tvg(rng)
             u = rng.randrange(g.n)
             t = rng.randrange(g.lifetime.start, g.lifetime.end)
-            fast = fastest_distance(g, u, t)
-            fore = foremost_distance(g, u, t)
+            fast = distance_map(g, u, t, "fastest")
+            fore = distance_map(g, u, t, "foremost")
             assert set(fast) == set(fore)
             for v in fast:
                 assert fast[v] <= fore[v]
@@ -369,9 +366,9 @@ class TestOracleSweep:
             t = rng.randrange(g.lifetime.start, g.lifetime.end)
             for u in range(g.n):
                 expect = oracle_distances(g, u, t)
-                assert shortest_distance(g, u, t) == expect["shortest"]
-                assert foremost_distance(g, u, t) == expect["foremost"]
-                assert fastest_distance(g, u, t) == expect["fastest"]
+                assert distance_map(g, u, t, "shortest") == expect["shortest"]
+                assert distance_map(g, u, t, "foremost") == expect["foremost"]
+                assert distance_map(g, u, t, "fastest") == expect["fastest"]
 
     def test_strict_mode_matches_enumeration(self):
         rng = random.Random(61)
@@ -380,9 +377,9 @@ class TestOracleSweep:
             t = rng.randrange(g.lifetime.start, g.lifetime.end)
             for u in range(g.n):
                 expect = oracle_distances(g, u, t, strict=True)
-                assert shortest_distance(g, u, t, strict=True) == expect["shortest"]
-                assert foremost_distance(g, u, t, strict=True) == expect["foremost"]
-                assert fastest_distance(g, u, t, strict=True) == expect["fastest"]
+                assert distance_map(g, u, t, "shortest", strict=True) == expect["shortest"]
+                assert distance_map(g, u, t, "foremost", strict=True) == expect["foremost"]
+                assert distance_map(g, u, t, "fastest", strict=True) == expect["fastest"]
 
     def test_triangle_style_bound(self):
         # composing a minimal-hop journey to v with a journey leaving v at
@@ -392,13 +389,13 @@ class TestOracleSweep:
             g = random_tvg(rng)
             t = rng.randrange(g.lifetime.start, g.lifetime.end)
             for u in range(g.n):
-                du = shortest_distance(g, u, t)
+                du = distance_map(g, u, t, "shortest")
                 for v in du:
                     if v == u:
                         continue
                     steps = witness_journey(g, u, v, t, "shortest")
                     t2 = steps[-1][1]
-                    dv = shortest_distance(g, v, t2)
+                    dv = distance_map(g, v, t2, "shortest")
                     for w in dv:
                         if w in du:
                             assert du[w] <= du[v] + dv[w]
@@ -448,8 +445,8 @@ class TestWitness:
         t = rng.randrange(g.lifetime.start, g.lifetime.end)
         for u in range(g.n):
             expect = oracle_distances(g, u, t, strict)
-            assert shortest_distance(g, u, t, strict) == expect["shortest"]
-            assert fastest_distance(g, u, t, strict) == expect["fastest"]
+            assert distance_map(g, u, t, "shortest", strict) == expect["shortest"]
+            assert distance_map(g, u, t, "fastest", strict) == expect["fastest"]
             for v in range(g.n):
                 hops = witness_journey(g, u, v, t, "shortest", strict)
                 fast = witness_journey(g, u, v, t, "fastest", strict)
@@ -519,7 +516,7 @@ class TestFastestFlood:
     def test_matches_oracle_and_departs_earliest(self, case, strict):
         g, u, t = case
         expect = oracle_fastest_departures(g, u, t, strict)
-        d = fastest_distance(g, u, t, strict)
+        d = distance_map(g, u, t, "fastest", strict)
         assert d == oracle_distances(g, u, t, strict)["fastest"]
         assert d == {u: 0, **{v: dur for v, (dur, _) in expect.items()}}
         for v in range(g.n):
@@ -550,7 +547,7 @@ class TestSearchWork:
     def test_shortest_on_path_is_linear(self, queried):
         n = 30
         g = tvg([(i, i + 1, 0, 10) for i in range(n - 1)], n=n)
-        assert shortest_distance(g, 0, 0) == {i: i for i in range(n)}
+        assert distance_map(g, 0, 0, "shortest") == {i: i for i in range(n)}
         assert len(queried) <= 2 * (n - 1)
 
     def test_shortest_witness_stops_at_its_target(self, queried):
@@ -563,7 +560,7 @@ class TestSearchWork:
         # every node enters at hop 1, but 1-2 still lowers node 2's bound
         # from 8 to 0 at hop 2, which no distance reads
         g = tvg([(0, 1, 0, 1), (0, 2, 8, 9), (1, 2, 0, 10)])
-        assert shortest_distance(g, 0, 0) == {0: 0, 1: 1, 2: 1}
+        assert distance_map(g, 0, 0, "shortest") == {0: 0, 1: 1, 2: 1}
         assert len(queried) == len(g.out_edges(0))
 
     def test_foremost_witness_expands_only_until_its_target(self, queried):
@@ -595,7 +592,7 @@ class TestSearchWork:
         events += [(2, 3, a, a + 2) for a in range(1, 28, 4)]
         g = tvg(events, n=4, end=30)
         assert len(list(_critical_ticks(g, 0, 0, 0))) >= 10
-        assert fastest_distance(g, 0, 0) == oracle_distances(g, 0, 0)["fastest"]
+        assert distance_map(g, 0, 0, "fastest") == oracle_distances(g, 0, 0)["fastest"]
         starts = (3, 5, 13, 14)
         expect = [oracle_distances(g, u, t)["fastest"] for t in starts for u in range(g.n)]
 
@@ -606,7 +603,7 @@ class TestSearchWork:
         )
         monkeypatch.setattr(core, "_build_timeline", lambda g: built.append(g) or build(g))
         g = tvg(events, n=4, end=30)
-        assert [fastest_distance(g, u, t) for t in starts for u in range(g.n)] == expect
+        assert [distance_map(g, u, t, "fastest") for t in starts for u in range(g.n)] == expect
         assert contains == []
         assert built == [g]
 
@@ -617,7 +614,7 @@ class TestFootprintSeparation:
         g = tvg([(0, 1, 5, 6), (1, 2, 1, 2)], end=8)
         f = footprint(g, 0, 8)
         assert f.edges == {(0, 1), (1, 2)}
-        assert 2 not in foremost_distance(g, 0, 0)
+        assert 2 not in distance_map(g, 0, 0, "foremost")
 
     def test_journey_implies_footprint_path(self):
         import networkx as nx
@@ -628,15 +625,15 @@ class TestFootprintSeparation:
             G = nx.Graph([(e.u, e.v) for e in g.edges])
             G.add_nodes_from(range(g.n))
             src = rng.randrange(g.n)
-            for v in foremost_distance(g, src, g.lifetime.start):
+            for v in distance_map(g, src, g.lifetime.start, "foremost"):
                 assert nx.has_path(G, src, v)
 
 
 #: every journey entry point that takes a node id, called with ``x`` in that place
 NODE_ARGS = {
-    "foremost_distance": lambda g, x: foremost_distance(g, x, 0),
-    "shortest_distance": lambda g, x: shortest_distance(g, x, 0),
-    "fastest_distance": lambda g, x: fastest_distance(g, x, 0),
+    "distance_map_shortest": lambda g, x: distance_map(g, x, 0, "shortest"),
+    "distance_map_foremost": lambda g, x: distance_map(g, x, 0, "foremost"),
+    "distance_map_fastest": lambda g, x: distance_map(g, x, 0, "fastest"),
     "witness_journey_u": lambda g, x: witness_journey(g, x, 0, 0, "foremost"),
     "witness_journey_v": lambda g, x: witness_journey(g, 0, x, 0, "foremost"),
     "temporal_view_u": lambda g, x: temporal_view(g, x, 0, 5),

@@ -348,12 +348,14 @@ class TestGraphConductance:
         with pytest.raises(LimitExceededError):
             graph_conductance(f)
 
-    def test_sweep_bound_dominates_exact(self):
+    def test_sweep_bound_dominates_exact(self, monkeypatch):
         rng = random.Random(19)
         for _ in range(20):
             f = random_footprint(rng, n_max=10)
             exact = graph_conductance(f).value
-            sweep = graph_conductance(f, max_exact=1, approximate=True).value
+            with monkeypatch.context() as m:  # past the limit: the sweep bound
+                m.setattr(static_metrics, "EXACT_CONDUCTANCE_LIMIT", 1)
+                sweep = graph_conductance(f, approximate=True).value
             if math.isnan(exact) or math.isnan(sweep):
                 continue
             assert sweep >= exact - 1e-12

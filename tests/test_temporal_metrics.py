@@ -16,7 +16,6 @@ from tvgkit.core import (
 from tvgkit.journeys import (
     KINDS,
     distance_map,
-    fastest_distance,
     minimal_route_counts,
     temporal_view,
     witness_journey,
@@ -262,7 +261,7 @@ class TestTimelineBuilds:
             series = evolve(g, WindowSpec(4, 2), "closeness", kind="fastest", strict=strict)
             assert any(v > 0 for v in series.values)
         with pytest.raises(AssertionError, match="interval table"):
-            fastest_distance(g, 0, 1)
+            distance_map(g, 0, 1, "fastest")
 
 
 class TestRouteMoveTables:
