@@ -19,7 +19,6 @@ from .core import (
     temporal_subgraph,
 )
 from .journeys import (
-    count_minimal_journeys,
     distance_map,
     is_journey,
     temporal_view,

@@ -110,7 +110,7 @@ def _read_trace(args) -> trace_io.ParseResult:
         else:
             with open(args.input, encoding="utf-8", newline="") as fh:
                 result = trace_io.parse_trace(fh, args.directed, args.strict)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {args.input}: {exc}") from exc
     except TraceFormatError as exc:
         raise DataError(str(exc)) from exc
@@ -128,8 +128,11 @@ def _emit(text: str, path: Optional[str]) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _series_csv(names, series_list) -> str:

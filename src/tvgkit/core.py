@@ -466,12 +466,6 @@ class Footprint:
             self._links = dict(zip(self.nodes, _count_links(pairs, self.adjacency())))
         return self._links
 
-    def neighbors(self, x: int) -> set[int]:
-        """Neighbour set of ``x`` in the undirected view."""
-        self._check_node(x)
-        b = self.adjacency()[self.nodes.index(x)]
-        return {y for i, y in enumerate(self.nodes) if b >> i & 1}
-
     def __eq__(self, other):
         return (
             isinstance(other, Footprint)

@@ -476,15 +476,3 @@ def minimal_route_counts(
     out = {u: (0, 1, (0,) * n)}
     out.update((v, (m, c, tuple(thr))) for v, (m, c, thr) in totals.items())
     return out
-
-
-def count_minimal_journeys(
-    g: TimeVaryingGraph, u: int, v: int, t: int, kind: str, strict: bool = False
-) -> Optional[tuple[int, int]]:
-    """Distance and number of minimal routes from u to v at t, or None."""
-    _check_node(g, v)
-    res = minimal_route_counts(g, u, t, kind, strict)
-    if v not in res:
-        return None
-    d, c, _ = res[v]
-    return d, c

@@ -41,13 +41,12 @@ class WindowSpec:
     """Length/stride decomposition of a lifetime.
 
     ``stride == length`` gives a disjoint partition; ``stride < length``
-    gives overlapping (sliding) windows.  ``align`` defaults to the
-    lifetime start.
+    gives overlapping (sliding) windows.  Windows start at the lifetime
+    start.
     """
 
     length: int
     stride: Optional[int] = None
-    align: Optional[int] = None
 
     def __post_init__(self):
         if self.length <= 0:
@@ -81,27 +80,15 @@ class IndicatorSeries:
         return iter(zip(self.windows, self.values))
 
 
-def _first_start(lifetime: Lifetime, spec: WindowSpec) -> int:
-    """Unclipped start of the first window that ends after the lifetime start."""
-    align = lifetime.start if spec.align is None else spec.align
-    if align > lifetime.start:
-        raise ValueError(
-            f"align {align} after lifetime start {lifetime.start} would leave a gap"
-        )
-    k = max(0, (lifetime.start - spec.length - align) // spec.stride + 1)
-    return align + k * spec.stride
-
-
 def windows_of(lifetime: Lifetime, spec: WindowSpec) -> list[Window]:
-    """Windows covering the lifetime.
+    """Windows covering the lifetime from its start.
 
-    Windows ending at or before the start are skipped; the first and the
-    tail window are clipped to the lifetime, not dropped.
+    The tail window is clipped to the lifetime, not dropped.
     """
     out: list[Window] = []
-    s = _first_start(lifetime, spec)
+    s = lifetime.start
     while s < lifetime.end:
-        out.append((max(s, lifetime.start), min(s + spec.length, lifetime.end)))
+        out.append((s, min(s + spec.length, lifetime.end)))
         if out[-1][1] >= lifetime.end:
             break
         s += spec.stride
@@ -131,7 +118,7 @@ def _footprints(
     and their common neighbours, or, when those outnumber its pairs, are
     recounted over its pairs, the work of a footprint built on its own.
     """
-    first, stride, length = _first_start(g.lifetime, spec), spec.stride, spec.length
+    first, stride, length = g.lifetime.start, spec.stride, spec.length
     n, directed, last = g.n, g.directed, len(wins) - 1
     by_edge: dict[tuple[int, int], list[PresenceSet]] = {}
     for e, p in zip(g.edges, g.presence):

@@ -345,6 +345,41 @@ class TestCli:
         assert self.run("evolve", str(bad), "--window", "2", *flags) == 2
         assert capsys.readouterr().err.startswith("tvgkit: data error: line 3: field larger")
 
+    def test_non_utf8_trace_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"u,v,start\na,b,1\n\xe9,c,2\n")
+        assert self.run("footprint", str(bad)) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"tvgkit: data error: cannot read {bad}: 'utf-8' codec can't decode "
+            "byte 0xe9 in position 16: invalid continuation byte\n"
+        )
+
+    @pytest.mark.parametrize("command", ["evolve", "generate", "footprint"])
+    def test_unwritable_output_is_usage_error(self, trace_file, tmp_path, capsys, command):
+        args = {
+            "evolve": [trace_file, "--window", "3"],
+            "generate": ["uniform-random"],
+            "footprint": [trace_file],
+        }[command]
+        target = tmp_path / "no" / "such" / "dir" / "out.csv"
+        assert self.run(command, *args, "--output", str(target)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"tvgkit: error: cannot write {target}: ")
+
+    @pytest.mark.parametrize(
+        "start,message",
+        [("5", "empty or inverted window [5, 5)"), ("-5", "window [-5,5) outside lifetime")],
+        ids=["empty", "outside-lifetime"],
+    )
+    def test_footprint_bad_window_is_data_error(self, trace_file, capsys, start, message):
+        assert self.run("footprint", trace_file, "--start", start, "--end", "5") == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"tvgkit: data error: {message}\n"
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert self.run() == 1
 

@@ -59,34 +59,6 @@ class TestWindowsOf:
             if stride == length:
                 assert sum(b - a for a, b in wins) == life.length
 
-    def test_align_before_start_clips_first_window(self):
-        assert windows_of(Lifetime(0, 10), WindowSpec(4, 4, -2)) == [
-            (0, 2),
-            (2, 6),
-            (6, 10),
-        ]
-        # windows ending at or before the start are skipped
-        assert windows_of(Lifetime(0, 10), WindowSpec(4, 2, -9)) == [
-            (0, 1),
-            (0, 3),
-            (1, 5),
-            (3, 7),
-            (5, 9),
-            (7, 10),
-        ]
-
-    def test_align_before_start_evaluates(self):
-        g = build_tvg(3, False, Lifetime(0, 10), [(0, 1, 0, 2), (1, 2, 5, 9)])
-        spec = WindowSpec(4, 4, -2)
-        wins = [(0, 2), (2, 6), (6, 10)]
-        assert [f.window for f in footprint_sequence(g, spec)] == wins
-        subs = [temporal_subgraph(g, a, b) for a, b in windows_of(g.lifetime, spec)]
-        assert [sub.lifetime for sub in subs] == [
-            Lifetime(a, b) for a, b in wins
-        ]
-        assert evolve(g, spec, "density", node_policy="all").windows == wins
-        assert evolve(g, spec, "diameter").windows == wins
-
     @pytest.mark.parametrize("length,stride", [(0, None), (-1, None), (3, 0), (3, 5)])
     def test_bad_specs_rejected(self, length, stride):
         with pytest.raises(ValueError):
@@ -124,7 +96,7 @@ class TestFootprintSequence:
 def graphs_and_specs(draw):
     """Small TVG (directed or not, optional labelled parallel edges, edges
     with several intervals) and a window spec (sliding or partition,
-    clipped tail, align at or before the lifetime start)."""
+    clipped tail)."""
     n = draw(st.integers(2, 6))
     directed = draw(st.booleans())
     start = draw(st.integers(-5, 5))
@@ -141,8 +113,7 @@ def graphs_and_specs(draw):
             events.append((u, v, a, b) if label is None else (u, v, a, b, label))
     length = draw(st.integers(1, 12))
     stride = draw(st.sampled_from([length, draw(st.integers(1, length))]))
-    align = draw(st.one_of(st.none(), st.integers(life.start - 15, life.start)))
-    return build_tvg(n, directed, life, events), WindowSpec(length, stride, align)
+    return build_tvg(n, directed, life, events), WindowSpec(length, stride)
 
 
 class TestFootprintSweep:
@@ -180,7 +151,7 @@ def sweep_case(rng, directed=None):
     tests: directed or not, node ids up to 79 (bitmasks wider than 64 bits),
     edges concentrated on a pool of nodes so that windows hold triangles,
     labelled parallel edges, intervals from one tick to the whole lifetime,
-    and ``align`` at or before the lifetime start."""
+    and a clipped tail window."""
     n = rng.randint(2, 80)
     if directed is None:
         directed = rng.random() < 0.5
@@ -197,8 +168,7 @@ def sweep_case(rng, directed=None):
             events.append((u, v, a, b) if label is None else (u, v, a, b, label))
     length = rng.randint(1, 15)
     stride = rng.choice([length, rng.randint(1, length)])
-    align = rng.choice([None, start - rng.randint(0, 20)])
-    return build_tvg(n, directed, life, events), WindowSpec(length, stride, align)
+    return build_tvg(n, directed, life, events), WindowSpec(length, stride)
 
 
 class TestDeltaSweep:
@@ -234,7 +204,10 @@ class TestDeltaSweep:
         assert any((v, u) in a for a in arcs for u, v in a)  # both arcs of a pair
         assert any(s.stride < s.length for _, s in cases)
         assert any(s.stride == s.length for _, s in cases)
-        assert any(s.align is not None and s.align < g.lifetime.start for g, s in cases)
+        # a tail window clipped to the lifetime
+        assert any(
+            b - a < s.length for g, s in cases for a, b in windows_of(g.lifetime, s)[-1:]
+        )
         # an interval spanning at least three sliding windows
         assert any(
             b - a >= s.length + 2 * s.stride
