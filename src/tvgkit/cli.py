@@ -104,12 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_trace(args) -> trace_io.ParseResult:
     """Parse the input trace; in lenient mode, report skipped records on stderr."""
+    # ``-`` is decoded as a path is; fd 0 is left open
+    stdin = args.input == "-"
     try:
-        if args.input == "-":
-            result = trace_io.parse_trace(sys.stdin, args.directed, args.strict)
-        else:
-            with open(args.input, encoding="utf-8", newline="") as fh:
-                result = trace_io.parse_trace(fh, args.directed, args.strict)
+        with open(0 if stdin else args.input, encoding="utf-8", newline="", closefd=not stdin) as fh:
+            result = trace_io.parse_trace(fh, args.directed, args.strict)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {args.input}: {exc}") from exc
     except TraceFormatError as exc:

@@ -205,7 +205,7 @@ class TimeVaryingGraph:
     What only journey searches read is built on first use and then kept,
     since the graph is immutable: the out- and in-adjacency behind
     :meth:`out_edges` and :meth:`in_edges`, the :meth:`timeline`, the
-    :meth:`interval_table` and the route-move table that every route-count
+    :meth:`arcs_at` table and the route-move table that every route-count
     pass on the graph shares (see ``journeys.minimal_route_counts``).  A
     graph that only feeds footprints builds none of them.
     """
@@ -255,12 +255,10 @@ class TimeVaryingGraph:
         # out- and in-adjacency; undirected, one list with both directions
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
         radj = [[] for _ in range(self.n)] if self.directed else adj
-        for i, e in enumerate(self.edges):
-            adj[e.u].append((i, e.v))
+        for (x, ei, y), _ in _arcs(self):
+            adj[x].append((ei, y))
             if self.directed:
-                radj[e.v].append((i, e.u))
-            else:
-                adj[e.v].append((i, e.u))
+                radj[y].append((ei, x))
         self._adj = adj
         self._radj = radj
 
@@ -288,14 +286,13 @@ class TimeVaryingGraph:
             self._timeline = _build_timeline(self)
         return self._timeline
 
-    def interval_table(self) -> tuple[list[tuple[int, int, int]], np.ndarray, np.ndarray]:
-        """``(arcs, starts, ends)``, built on first use: every presence
-        interval of every arc, in edge order; ``arcs[i]`` is the arc
-        ``(tail, edge index, head)`` of interval ``[starts[i], ends[i])``
-        (both directions when undirected)."""
+    def arcs_at(self, t: int) -> list[tuple[int, int, int]]:
+        """The arcs ``(tail, edge index, head)`` present at ``t``, in edge
+        order, ``u -> v`` first; the interval table is built on first use."""
         if self._intervals is None:
             self._intervals = _build_interval_table(self)
-        return self._intervals
+        arcs, starts, ends = self._intervals
+        return [arcs[i] for i in np.flatnonzero((starts <= t) & (t < ends)).tolist()]
 
     def __eq__(self, other) -> bool:
         return (
@@ -316,28 +313,36 @@ class TimeVaryingGraph:
         )
 
 
+def _arcs(g: TimeVaryingGraph):
+    """Each arc ``(tail, edge index, head)`` with its presence set, in edge
+    order; an undirected edge is two arcs, ``u -> v`` first."""
+    for ei, (e, p) in enumerate(zip(g.edges, g.presence)):
+        yield (e.u, ei, e.v), p
+        if not g.directed:
+            yield (e.v, ei, e.u), p
+
+
 def _build_timeline(g: TimeVaryingGraph) -> Timeline:
     opening: dict[int, list[tuple[int, int, int]]] = {}
     closing: dict[int, list[tuple[int, int, int]]] = {}
-    for ei, (e, p) in enumerate(zip(g.edges, g.presence)):
-        arcs = [(e.u, ei, e.v)] if g.directed else [(e.u, ei, e.v), (e.v, ei, e.u)]
-        for a, b in p.intervals:
-            opening.setdefault(a, []).extend(arcs)
-            closing.setdefault(b - 1, []).extend(arcs)
+    for arc, p in _arcs(g):
+        for a in p._starts:
+            opening.setdefault(a, []).append(arc)
+        for b in p._ends:
+            closing.setdefault(b - 1, []).append(arc)
     return Timeline(sorted(opening.keys() | closing.keys()), opening, closing)
 
 
 def _build_interval_table(g: TimeVaryingGraph) -> tuple:
-    table: list[tuple[int, int, int]] = []
+    # every presence interval of every arc: ``[starts[i], ends[i])`` of ``arcs[i]``
+    arcs: list[tuple[int, int, int]] = []
     starts: list[int] = []
     ends: list[int] = []
-    for ei, (e, p) in enumerate(zip(g.edges, g.presence)):
-        arcs = [(e.u, ei, e.v)] if g.directed else [(e.u, ei, e.v), (e.v, ei, e.u)]
-        for a, b in p.intervals:
-            table += arcs
-            starts += [a] * len(arcs)
-            ends += [b] * len(arcs)
-    return table, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+    for arc, p in _arcs(g):
+        arcs += [arc] * len(p._starts)
+        starts += p._starts
+        ends += p._ends
+    return arcs, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
 
 
 def _edge_key(item):

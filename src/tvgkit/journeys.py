@@ -10,9 +10,8 @@ arrival after a start time) and fastest (smallest arrival minus departure).
 Each kind has one search: shortest a pruned hop-by-hop search, foremost
 an earliest-arrival search and fastest one time-forward pass over the
 critical times at or after the start time, with one label per node (see
-``_fastest_flood``).  A pass that starts after the lifetime start takes
-the arcs present at the start time from the graph's interval table, which
-is built only for such a pass.
+``_fastest_flood``).  A pass that starts after the lifetime start asks
+the graph which arcs are present then (``TimeVaryingGraph.arcs_at``).
 
 Every search returns ``(distances, records)``: the ``kind`` distance per
 reachable node, and per reachable node the record of one witness journey,
@@ -36,8 +35,6 @@ import math
 from itertools import chain, islice
 from operator import add
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .core import TimeVaryingGraph, _check_time
 
@@ -193,9 +190,7 @@ def _fastest_flood(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
     # starts at t, and the first tick opens it
     present: list[dict[int, int]] = [{} for _ in range(g.n)]
     if t > g.lifetime.start:
-        arcs, starts, ends = g.interval_table()
-        for i in np.flatnonzero((starts <= t) & (t < ends)).tolist():
-            x, ei, y = arcs[i]
+        for x, ei, y in g.arcs_at(t):
             present[x][ei] = y
     label = [t - 1] * g.n  # latest departure reaching each node; t - 1: none yet
     rec: list[Optional[tuple]] = [None] * g.n

@@ -233,6 +233,36 @@ class TestAdjacency:
         assert parallel > 0
 
 
+class TestArcsAt:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_presence_in_edge_order(self, directed):
+        rng = random.Random(23)
+        parallel = 0
+        for _ in range(100):
+            base = random_tvg(rng, directed=directed)
+            # a labelled parallel edge beside some edges, present at other times
+            events = [
+                (e.u, e.v, a, b) for e, p in zip(base.edges, base.presence) for a, b in p.intervals
+            ]
+            life = base.lifetime
+            for e in base.edges:
+                if rng.random() < 0.5:
+                    a = rng.randrange(life.start, life.end)
+                    events.append((e.u, e.v, a, rng.randint(a + 1, life.end), rng.choice("xy")))
+            g = build_tvg(base.n, directed, life, events)
+            parallel += len(g.edges) - len({(e.u, e.v) for e in g.edges})
+            for t in range(g.lifetime.start, g.lifetime.end):
+                # edge i's arcs, u -> v first; undirected, both ways round
+                expected = [
+                    arc
+                    for i, e in enumerate(g.edges)
+                    if t in g.presence[i]
+                    for arc in [(e.u, i, e.v)] + ([] if directed else [(e.v, i, e.u)])
+                ]
+                assert g.arcs_at(t) == expected
+        assert parallel > 0
+
+
 class TestPresenceQuery:
     def test_interior_point(self):
         g = simple_tvg([(0, 1, 0, 8)], n=2)

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import random
 import subprocess
 import sys
@@ -80,6 +81,19 @@ class TestParseTrace:
         with pytest.raises(TraceFormatError, match=r"^line 3: empty node name$"):
             parse_trace(text)
         assert parse_trace(text, strict=False).skipped == [(3, "empty node name")]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("u,v,start\na,b\nb,c,1\n", "expected at least 3 fields, got 2"),
+            ("u,v,start,end\na,b,1,x\nb,c,1,2\n", "non-integer end 'x'"),
+        ],
+        ids=["two-fields", "non-integer-end"],
+    )
+    def test_malformed_record_reports_its_line(self, text, message):
+        with pytest.raises(TraceFormatError, match=rf"^line 2: {message}$"):
+            parse_trace(text)
+        assert parse_trace(text, strict=False).skipped == [(2, message)]
 
     def test_lenient_mode_still_needs_one_record(self):
         with pytest.raises(TraceFormatError, match="no valid records"):
@@ -380,6 +394,33 @@ class TestCli:
         assert out == ""
         assert err == f"tvgkit: data error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evolve", "--window", "3", "--indicators", ","], "no indicators requested"),
+            (
+                ["generate", "phase-transition", "--nodes", "5"],
+                "phase-transition needs nodes >= 20, window >= 2, phase_windows >= 1",
+            ),
+            (
+                ["generate", "uniform-random", "--nodes", "1"],
+                "uniform-random needs nodes >= 2, ticks >= 1, 0 <= p <= 1",
+            ),
+            (
+                ["generate", "star-burst", "--leaves", "0"],
+                "star-burst needs positive leaves, ticks, period, burst",
+            ),
+        ],
+        ids=["no-indicators", "phase-transition", "uniform-random", "star-burst"],
+    )
+    def test_bad_arguments_are_usage_errors(self, trace_file, capsys, argv, message):
+        if argv[0] == "evolve":
+            argv = [argv[0], trace_file, *argv[1:]]
+        assert self.run(*argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"tvgkit: error: {message}\n"
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert self.run() == 1
 
@@ -408,6 +449,49 @@ class TestCli:
 
         monkeypatch.setitem(cli._COMMANDS, "footprint", boom)
         assert self.run("footprint", trace_file) == 3
+
+
+class TestStdin:
+    """``-`` reads the trace from fd 0, decoded as a trace file is; each
+    test runs the CLI in a fresh interpreter, which owns its stdin."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+
+    def tvgkit(self, *argv, **kwargs):
+        path = os.pathsep.join(filter(None, [str(self.ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "tvgkit.cli", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            **kwargs,
+        )
+
+    def test_non_utf8_stdin_is_data_error(self):
+        proc = self.tvgkit("footprint", "-", input=b"u,v,start\na,b,1\n\xe9,c,2\n")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == (
+            b"tvgkit: data error: cannot read -: 'utf-8' codec can't decode "
+            b"byte 0xe9 in position 16: invalid continuation byte\n"
+        )
+
+    def test_closed_stdin_is_data_error(self):
+        proc = self.tvgkit(
+            "footprint", "-", stdin=subprocess.DEVNULL, preexec_fn=lambda: os.close(0)
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"tvgkit: data error: cannot read -: ")
+
+    def test_stdin_reads_like_the_file(self):
+        path = self.ROOT / "tests" / "data" / "contacts.csv"
+        argv = ["--window", "3", "--indicators", "density,closeness"]
+        from_file = self.tvgkit("evolve", str(path), *argv)
+        from_stdin = self.tvgkit("evolve", "-", *argv, input=path.read_bytes())
+        assert from_file.returncode == from_stdin.returncode == 0
+        assert from_file.stderr == from_stdin.stderr == b""
+        assert from_stdin.stdout == from_file.stdout
+        assert from_file.stdout.count(b"\n") > 2
 
 
 class TestBenchmarkHooks:

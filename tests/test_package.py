@@ -60,3 +60,23 @@ def test_module_imports_are_used():
         if path.name != "__init__.py" and (names := unused_imports(path))
     }
     assert not unused, f"unused module-level imports: {unused}"
+
+
+def test_numpy_is_imported_only_where_bulk_arithmetic_runs():
+    # journey searches ask ``core`` which arcs are present; only the
+    # present-arc table and the static indicators' matrices use numpy
+    def imports_numpy(node) -> bool:
+        if isinstance(node, ast.Import):
+            return any(a.name.split(".")[0] == "numpy" for a in node.names)
+        return (
+            isinstance(node, ast.ImportFrom)
+            and node.level == 0
+            and node.module.split(".")[0] == "numpy"
+        )
+
+    importers = {
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        if any(map(imports_numpy, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    }
+    assert importers == {"core", "static_metrics"}

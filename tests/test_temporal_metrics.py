@@ -398,8 +398,11 @@ class TestTemporalSeries:
         g = always([(0, 1), (1, 2)], 3, end=4)
         mean = evolve(g, WindowSpec(4), "eccentricity", reducer="mean")
         mx = evolve(g, WindowSpec(4), "eccentricity", reducer="max")
+        std = evolve(g, WindowSpec(4), "eccentricity", reducer="std")
         assert mean.values[0] == pytest.approx(5 / 3)
         assert mx.values[0] == 2.0
+        # eccentricities 2, 1, 2
+        assert std.values[0] == pytest.approx(math.sqrt(2) / 3)
         with pytest.raises(ValueError, match="reducer"):
             evolve(g, WindowSpec(4), "eccentricity", reducer="median")
         with pytest.raises(ValueError, match="reducer"):
