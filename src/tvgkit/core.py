@@ -197,10 +197,10 @@ class TimeVaryingGraph:
     """Immutable TVG: node count, edge list, and one presence set per edge.
 
     The constructor checks that there is one presence set per edge, that
-    every endpoint lies in ``[0, n)`` and that every interval lies in the
-    lifetime; self-loops and parallel edges are allowed.  ``build_tvg``,
-    ``temporal_subgraph`` and ``restrict_nodes``, whose parts are checked
-    by construction, skip these checks.
+    every endpoint lies in ``[0, n)``, that no edge is a self-loop and that
+    every interval lies in the lifetime; parallel edges are allowed.
+    ``build_tvg``, ``temporal_subgraph`` and ``restrict_nodes``, whose
+    parts are checked by construction, skip these checks.
 
     What only journey searches read is built on first use and then kept,
     since the graph is immutable: the out- and in-adjacency behind
@@ -223,6 +223,8 @@ class TimeVaryingGraph:
         for e, p in zip(edges, presence):
             if not (0 <= e.u < n and 0 <= e.v < n):
                 raise ValueError(f"edge ({e.u},{e.v}) has an endpoint outside [0,{n})")
+            if e.u == e.v:
+                raise ValueError(f"self-loop ({e.u}, {e.v}) rejected")
             for a, b in p.intervals:
                 if a < lifetime.start or b > lifetime.end:
                     raise ValueError(
@@ -541,6 +543,11 @@ def _check_time(g: TimeVaryingGraph, t: int) -> None:
         raise ValueError(f"t={t} outside lifetime [{g.lifetime.start},{g.lifetime.end})")
 
 
+def _check_node(g: TimeVaryingGraph, u: int) -> None:
+    if not 0 <= u < g.n:
+        raise ValueError(f"node {u} outside [0,{g.n})")
+
+
 def _check_window(g: TimeVaryingGraph, t1: int, t2: int) -> None:
     if t1 >= t2:
         raise ValueError(f"empty or inverted window [{t1}, {t2})")
@@ -585,9 +592,8 @@ def temporal_subgraph(g: TimeVaryingGraph, t1: int, t2: int) -> TimeVaryingGraph
 def restrict_nodes(g: TimeVaryingGraph, nodes: Iterable[int]) -> TimeVaryingGraph:
     """TVG induced on ``nodes`` (relabelled densely, in ascending order)."""
     keep = sorted(set(nodes))
-    for x in keep[:1] + keep[-1:]:
-        if not 0 <= x < g.n:
-            raise ValueError(f"node {x} outside [0,{g.n})")
+    for x in keep[:1] + keep[-1:]:  # sorted: only the ends can be outside
+        _check_node(g, x)
     index = {x: i for i, x in enumerate(keep)}
     edges = []
     presence_sets = []
@@ -617,8 +623,4 @@ def _count_links(pairs: Iterable[tuple[int, int]], bits: list[int]) -> list[int]
 
 def active_nodes(f: Footprint) -> set[int]:
     """Nodes of the footprint with at least one adjacent edge."""
-    out: set[int] = set()
-    for u, v in f.edges:
-        out.add(u)
-        out.add(v)
-    return out
+    return set(chain.from_iterable(f.edges))

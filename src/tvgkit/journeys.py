@@ -36,7 +36,7 @@ from itertools import chain, islice
 from operator import add
 from typing import Iterable, Optional
 
-from .core import TimeVaryingGraph, _check_time
+from .core import TimeVaryingGraph, _check_node, _check_time
 
 KINDS = ("shortest", "foremost", "fastest")
 
@@ -46,11 +46,6 @@ Step = tuple[int, int]  # (edge index, crossing time)
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown distance kind {kind!r}")
-
-
-def _check_node(g: TimeVaryingGraph, u: int) -> None:
-    if not 0 <= u < g.n:
-        raise ValueError(f"node {u} outside [0,{g.n})")
 
 
 def is_journey(g: TimeVaryingGraph, steps: Iterable[Step], strict: bool = False) -> bool:

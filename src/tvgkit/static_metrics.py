@@ -122,6 +122,8 @@ def powerlaw_exponent(degrees: Sequence[int], k_min: int = 1) -> float:
     else NaN.  The approximation is known to be biased for small ``k_min``;
     pick ``k_min >= 5`` when accuracy matters.
     """
+    if k_min < 1:
+        raise ValueError(f"k_min must be at least 1, got {k_min}")
     ks = [k for k in degrees if k >= k_min]
     if len(ks) < 10:
         return math.nan

@@ -9,11 +9,9 @@ excluded from closeness.
 from __future__ import annotations
 
 import math
-from functools import reduce
-from operator import add
 
-from .core import TimeVaryingGraph, _check_time
-from .journeys import _check_kind, _check_node, distance_map, minimal_route_counts
+from .core import TimeVaryingGraph, _check_node, _check_time
+from .journeys import _check_kind, distance_map, minimal_route_counts
 
 
 def eccentricity(
@@ -31,6 +29,7 @@ def eccentricity(
 def diameter(g: TimeVaryingGraph, t: int, kind: str, strict: bool = False) -> float:
     """Max eccentricity over all nodes; inf if any is unbounded."""
     _check_kind(kind)
+    _check_time(g, t)
     worst = 0.0
     for u in range(g.n):
         e = eccentricity(g, u, t, kind, strict)
@@ -82,41 +81,3 @@ def temporal_closeness(
         return math.nan
     return sum(d[v] for v in others) / len(others)
 
-
-def _reduce(values: list[float], reducer: str) -> float:
-    finite = [v for v in values if not math.isnan(v)]
-    if not finite:
-        return math.nan
-    if any(math.isinf(v) for v in finite):
-        return math.inf
-    if reducer == "max":
-        return max(finite)
-    # left to right: ``sum()`` of floats is compensated from Python 3.12 on
-    mean = reduce(add, finite, 0.0) / len(finite)
-    if reducer == "mean":
-        return mean
-    return math.sqrt(reduce(add, ((v - mean) ** 2 for v in finite), 0.0) / len(finite))
-
-
-# Window evaluators of ``windows.evolve_many``, which checks their arguments:
-# ``g`` is a window's temporal subgraph with at least one node, ``t`` its start.
-def _window_eccentricity(g, t, kind, reducer, strict) -> float:
-    return _reduce(
-        [eccentricity(g, u, t, kind, strict) for u in range(g.n)], reducer
-    )
-
-
-def _window_diameter(g, t, kind, reducer, strict) -> float:
-    if not g.edges:
-        return math.nan
-    return diameter(g, t, kind, strict)
-
-
-def _window_closeness(g, t, kind, reducer, strict) -> float:
-    return _reduce(
-        [temporal_closeness(g, u, t, kind, strict) for u in range(g.n)], reducer
-    )
-
-
-def _window_betweenness(g, t, kind, reducer, strict) -> float:
-    return _reduce(temporal_betweenness_all(g, t, kind, strict), reducer)

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, compress
+from operator import add
 from typing import Iterator, Optional, Sequence
 
 from . import static_metrics as sm
@@ -123,8 +125,6 @@ def _footprints(
     by_edge: dict[tuple[int, int], list[PresenceSet]] = {}
     for e, p in zip(g.edges, g.presence):
         uv = (e.u, e.v) if directed or e.u < e.v else (e.v, e.u)
-        if e.u == e.v:
-            raise ValueError(f"self-loop {uv} rejected")
         by_edge.setdefault(uv, []).append(p)
 
     def deltas(groups: dict) -> tuple[list[list], list[list]]:
@@ -219,6 +219,45 @@ def footprint_sequence(
     return list(_footprints(g, spec, windows_of(g.lifetime, spec), node_policy))
 
 
+def _reduce(values: list[float], reducer: str) -> float:
+    finite = [v for v in values if not math.isnan(v)]
+    if not finite:
+        return math.nan
+    if any(math.isinf(v) for v in finite):
+        return math.inf
+    if reducer == "max":
+        return max(finite)
+    # left to right: ``sum()`` of floats is compensated from Python 3.12 on
+    mean = reduce(add, finite, 0.0) / len(finite)
+    if reducer == "mean":
+        return mean
+    return math.sqrt(reduce(add, ((v - mean) ** 2 for v in finite), 0.0) / len(finite))
+
+
+# The temporal indicators per window: ``g`` is a window's temporal subgraph
+# with at least one node, ``t`` its start; ``evolve_many`` checks the rest.
+def _window_eccentricity(g, t, kind, reducer, strict) -> float:
+    return _reduce(
+        [tm.eccentricity(g, u, t, kind, strict) for u in range(g.n)], reducer
+    )
+
+
+def _window_diameter(g, t, kind, reducer, strict) -> float:
+    if not g.edges:
+        return math.nan
+    return tm.diameter(g, t, kind, strict)
+
+
+def _window_closeness(g, t, kind, reducer, strict) -> float:
+    return _reduce(
+        [tm.temporal_closeness(g, u, t, kind, strict) for u in range(g.n)], reducer
+    )
+
+
+def _window_betweenness(g, t, kind, reducer, strict) -> float:
+    return _reduce(tm.temporal_betweenness_all(g, t, kind, strict), reducer)
+
+
 #: static indicator name -> callable(Footprint) -> float
 STATIC_INDICATORS = {}
 #: temporal indicator name -> callable(tvg, t, kind, reducer, strict) -> float
@@ -241,10 +280,10 @@ def _load_registries():
     )
     TEMPORAL_INDICATORS.update(
         {
-            "diameter": tm._window_diameter,
-            "eccentricity": tm._window_eccentricity,
-            "closeness": tm._window_closeness,
-            "betweenness": tm._window_betweenness,
+            "diameter": _window_diameter,
+            "eccentricity": _window_eccentricity,
+            "closeness": _window_closeness,
+            "betweenness": _window_betweenness,
         }
     )
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's search machinery:
 presence is checked by linear interval scans, routes by explicit DFS
-enumeration, and conductance by subset enumeration.
+enumeration over neighbour lists read from ``g.edges`` (not the graph's
+own adjacency), and conductance by subset enumeration.
 """
 
 from __future__ import annotations
@@ -64,11 +65,23 @@ def route_best_duration(g, route, t, strict=False):
     return best
 
 
+def out_arcs(g):
+    """Per node, the (edge index, neighbour) pairs leaving it, read from
+    ``g.edges``: an undirected edge goes both ways."""
+    out = [[] for _ in range(g.n)]
+    for ei, e in enumerate(g.edges):
+        out[e.u].append((ei, e.v))
+        if not g.directed:
+            out[e.v].append((ei, e.u))
+    return out
+
+
 def iter_simple_routes(g, u):
     """All simple routes (edge index lists) out of u, with their end node."""
+    arcs = out_arcs(g)
 
     def rec(x, visited, route):
-        for ei, y in g.out_edges(x):
+        for ei, y in arcs[x]:
             if y in visited:
                 continue
             route.append(ei)
@@ -83,11 +96,12 @@ def iter_simple_routes(g, u):
 
 def iter_feasible_walks(g, u, t, strict=False):
     """All walks of <= n-1 hops out of u realizable as journeys departing >= t."""
+    arcs = out_arcs(g)
 
     def rec(x, lb, route):
         if len(route) == g.n - 1:
             return
-        for ei, y in g.out_edges(x):
+        for ei, y in arcs[x]:
             tp = linear_next(g, ei, lb)
             if tp is None:
                 continue

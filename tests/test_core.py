@@ -32,6 +32,10 @@ class TestPresenceSet:
         g = simple_tvg([(0, 1, 0, 2), (0, 1, 2, 4)], n=2)
         assert g.presence[0].intervals == [(0, 4)]
 
+    def test_empty_interval_rejected(self):
+        with pytest.raises(ValueError, match=r"^empty interval \[3, 3\)$"):
+            PresenceSet([(0, 2), (3, 3)])
+
     def test_normalization_idempotent(self):
         p = PresenceSet([(5, 8), (0, 2), (6, 9)])
         assert PresenceSet(p.intervals).intervals == p.intervals == [(0, 2), (5, 9)]
@@ -135,6 +139,10 @@ class TestBuildTvg:
             ([(0, 1, -3, 2)], "lifetime"),
             ([(0, 1, 8, 12)], "lifetime"),
             ([(1, 1, 0, 2)], "self-loop"),
+            pytest.param(
+                [(0, 1, 2)], r"^malformed event record \(0, 1, 2\)$",
+                id="events6-malformed",
+            ),
         ],
     )
     def test_bad_events_rejected_with_diagnostic(self, events, match):
@@ -188,6 +196,20 @@ class TestBuildTvg:
 
 
 class TestConstructor:
+    def test_empty_lifetime_rejected(self):
+        with pytest.raises(ValueError, match=r"^empty lifetime \[5, 5\)$"):
+            Lifetime(5, 5)
+
+    def test_self_loop_rejected(self):
+        # an undirected loop would be two identical arcs at its node, so
+        # every walk through it would count twice
+        for directed in (False, True):
+            with pytest.raises(ValueError, match=r"^self-loop \(1, 1\) rejected$"):
+                TimeVaryingGraph(
+                    2, directed, Lifetime(0, 4), [Edge(0, 1), Edge(1, 1)],
+                    [PresenceSet([(0, 2)]), PresenceSet([(1, 3)])],
+                )
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="^edges and presence lists differ in length$"):
             TimeVaryingGraph(2, False, Lifetime(0, 4), [Edge(0, 1)], [])

@@ -134,6 +134,9 @@ class TestModularity:
             with pytest.raises(ValueError, match=r"^node 99 is not in the footprint"):
                 clustering_coefficient(f, 99)
 
+    def test_edgeless_footprint_undefined(self):
+        assert math.isnan(pair_modularity(fp(3, []), 0, 1))
+
     def test_isolated_node_zero(self):
         f = fp(3, [(0, 1)])
         assert pair_modularity(f, 0, 2) == 0.0
@@ -269,6 +272,12 @@ class TestPowerlaw:
         assert 1 + 10 / math.fsum(terms) != 1 + 10 / total
         assert powerlaw_exponent(degrees) == 1 + 10 / total
 
+    @pytest.mark.parametrize("k_min", [0, -1, 0.5])
+    def test_k_min_below_one_rejected(self, k_min):
+        # ln(k / (k_min - 1/2)) is undefined or divides by zero there
+        with pytest.raises(ValueError, match=rf"^k_min must be at least 1, got {k_min}$"):
+            powerlaw_exponent(list(range(1, 21)), k_min=k_min)
+
     def test_zero_degrees_excluded(self):
         degrees = [0] * 5 + [1, 2, 3, 1, 1, 2, 4, 1, 1, 2]
         assert powerlaw_exponent(degrees) == pytest.approx(
@@ -316,6 +325,12 @@ class TestCutConductance:
     def test_empty_side_rejected(self):
         with pytest.raises(ValueError):
             cut_conductance(complete(3), set())
+
+    def test_side_outside_universe_rejected(self):
+        with pytest.raises(
+            ValueError, match="^cut side contains nodes outside the footprint universe$"
+        ):
+            cut_conductance(complete(3), {0, 7})
 
     def test_zero_volume_side_nan(self):
         f = fp(3, [(0, 1)])

@@ -21,15 +21,20 @@ from tvgkit.journeys import (
     witness_journey,
 )
 from tvgkit.temporal_metrics import (
-    _reduce,
-    _window_closeness,
     diameter,
     eccentricity,
     temporal_betweenness,
     temporal_betweenness_all,
     temporal_closeness,
 )
-from tvgkit.windows import WindowSpec, evolve, evolve_many, windows_of
+from tvgkit.windows import (
+    WindowSpec,
+    _reduce,
+    _window_closeness,
+    evolve,
+    evolve_many,
+    windows_of,
+)
 
 from oracles import (
     oracle_betweenness,
@@ -102,6 +107,13 @@ class TestDiameter:
             for kind in ("shortest", "foremost", "fastest"):
                 eccs = [eccentricity(g, u, t, kind) for u in range(g.n)]
                 assert diameter(g, t, kind) == max(eccs)
+
+    def test_time_outside_lifetime_rejected_on_every_graph(self):
+        # a graph without nodes runs no search, so diameter checks t itself
+        g = build_tvg(3, False, Lifetime(0, 10), [(0, 1, 0, 4)])
+        for h in (g, restrict_nodes(g, [])):
+            with pytest.raises(ValueError, match=r"^t=999 outside lifetime \[0,10\)$"):
+                diameter(h, 999, "shortest")
 
 
 class TestBetweenness:

@@ -255,11 +255,6 @@ class TestDeltaSweep:
             Footprint(f.nodes, False, f.edges, f.window).links() for f in seq
         ]
 
-    def test_self_loop_rejected(self):
-        g = TimeVaryingGraph(2, False, Lifetime(0, 4), [Edge(1, 1)], [PresenceSet([(0, 2)])])
-        with pytest.raises(ValueError, match=r"self-loop \(1, 1\) rejected"):
-            footprint_sequence(g, WindowSpec(2, 1))
-
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("node_policy", ["all", "active"])
     def test_static_indicators_build_no_adjacency(self, monkeypatch, directed, node_policy):
