@@ -16,18 +16,18 @@ Conventions worth knowing:
   ``itertools.combinations`` order, and ``powerlaw_exponent`` its log terms
   in degree order, so their floats do not depend on the interpreter
   (``sum()`` of floats is compensated from Python 3.12 on).
-* Values undefined on a given footprint come back as NaN, never an error,
-  except where a size limit is deliberately enforced (``graph_conductance``).
+* Values undefined on a given footprint come back as NaN, never an error.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +41,7 @@ _PAIR_BLOCK = 1 << 16
 
 
 class LimitExceededError(ValueError):
-    """An internal size cap was hit and no approximation was requested."""
+    """An internal size or work cap was hit; the CLI exits 3 on it."""
 
 
 def degree_sequence(f: Footprint) -> list[int]:
@@ -147,14 +147,8 @@ def cut_conductance(f: Footprint, side: Iterable[int]) -> float:
         raise ValueError("both cut sides must be non-empty")
     if not s <= nodes:
         raise ValueError("cut side contains nodes outside the footprint universe")
-    deg = f.degrees()
-    crossing = sum(1 for u, v in f.undirected_edges() if (u in s) != (v in s))
-    vol_s = sum(deg[x] for x in s)
-    vol_c = sum(deg[x] for x in nodes - s)
-    m = min(vol_s, vol_c)
-    if m == 0:
-        return math.nan
-    return crossing / m
+    flips = [i for i, x in enumerate(f.nodes) if x in s]
+    return _least_conductance(f, deque(_cut_walk(f, flips), maxlen=1))
 
 
 @dataclass(frozen=True)
@@ -166,56 +160,52 @@ class ConductanceResult:
         return self.value
 
 
-def graph_conductance(f: Footprint, approximate: bool = False) -> ConductanceResult:
-    """Minimum conductance over all cuts.
+def graph_conductance(f: Footprint) -> ConductanceResult:
+    """Minimum conductance over all cuts, and whether it is exact.
 
-    Exhaustive (exact) up to ``EXACT_CONDUCTANCE_LIMIT`` nodes; beyond
-    that, returns the spectral sweep-cut upper bound provided
-    ``approximate`` was requested, and raises ``LimitExceededError``
-    otherwise.
+    Exhaustive (``exact`` true) up to ``EXACT_CONDUCTANCE_LIMIT`` nodes;
+    beyond that, the spectral sweep-cut upper bound (``exact`` false).
     """
     n = f.num_nodes
     if n < 2:
         return ConductanceResult(math.nan, True)
-    if n <= EXACT_CONDUCTANCE_LIMIT:
-        return ConductanceResult(_exhaustive_conductance(f), True)
-    if not approximate:
-        raise LimitExceededError(
-            f"{n} nodes exceed the exhaustive limit {EXACT_CONDUCTANCE_LIMIT}; "
-            "pass approximate=True for the spectral sweep bound"
-        )
-    return ConductanceResult(_sweep_cut_bound(f), False)
+    exact = n <= EXACT_CONDUCTANCE_LIMIT
+    if exact:
+        # reflected Gray code over positions 0 .. n-2: every non-empty side
+        # without node n-1 once, which halves the enumeration
+        flips = ((k & -k).bit_length() - 1 for k in range(1, 1 << (n - 1)))
+    else:
+        flips = _sweep_order(f)
+    return ConductanceResult(_least_conductance(f, _cut_walk(f, flips)), exact)
 
 
-def _exhaustive_conductance(f: Footprint) -> float:
-    n = f.num_nodes
+def _cut_walk(f: Footprint, flips: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """From an empty side, move the node at each position of ``flips``
+    across the cut and yield the side's (crossing edges, volume)."""
     adj = f.adjacency()
     deg = [b.bit_count() for b in adj]
-    vol_total = sum(deg)
-    best = math.nan
-    full = (1 << n) - 1
-    # node n-1 pinned to the complement halves the enumeration
-    for mask in range(1, 1 << (n - 1)):
-        comp = full ^ mask
-        crossing = 0
-        vol_s = 0
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            crossing += (adj[i] & comp).bit_count()
-            vol_s += deg[i]
-            m &= m - 1
-        denom = min(vol_s, vol_total - vol_s)
-        if denom == 0:
-            continue
-        phi = crossing / denom
-        if math.isnan(best) or phi < best:
-            best = phi
-    return best
+    side = crossing = volume = 0
+    for i in flips:
+        bit = 1 << i
+        sign = -1 if side & bit else 1
+        side ^= bit
+        crossing += sign * (deg[i] - 2 * (adj[i] & side).bit_count())
+        volume += sign * deg[i]
+        yield crossing, volume
 
 
-def _sweep_cut_bound(f: Footprint) -> float:
-    """Sweep over the second eigenvector of the normalized Laplacian."""
+def _least_conductance(f: Footprint, cuts: Iterable[tuple[int, int]]) -> float:
+    """Least crossing / smaller volume over the cuts; NaN if a side of
+    every cut has zero volume."""
+    total = 2 * len(f.undirected_edges())
+    return min(
+        (c / min(v, total - v) for c, v in cuts if 0 < v < total), default=math.nan
+    )
+
+
+def _sweep_order(f: Footprint) -> list[int]:
+    """Positions by the second eigenvector of the normalized Laplacian,
+    without the last: the sides of the sweep cut."""
     nodes = f.nodes
     n = len(nodes)
     index = {x: i for i, x in enumerate(nodes)}
@@ -229,11 +219,5 @@ def _sweep_cut_bound(f: Footprint) -> float:
     lap = np.eye(n) - dinv[:, None] * a * dinv[None, :]
     _, vecs = np.linalg.eigh(lap)
     order = np.argsort(vecs[:, 1] * dinv)  # D^{-1/2} back-transform
-    best = math.nan
-    side: set[int] = set()
-    for i in order[:-1]:
-        side.add(nodes[i])
-        phi = cut_conductance(f, side)
-        if not math.isnan(phi) and (math.isnan(best) or phi < best):
-            best = phi
-    return best
+    # Python ints: a numpy int64 shift overflows past position 63
+    return order[:-1].tolist()

@@ -275,7 +275,7 @@ def _load_registries():
             "avg_clustering": sm.average_clustering,
             "avg_modularity": sm.average_modularity,
             "powerlaw": lambda f: sm.powerlaw_exponent(sm.degree_sequence(f)),
-            "conductance": lambda f: sm.graph_conductance(f, approximate=True).value,
+            "conductance": lambda f: sm.graph_conductance(f).value,
         }
     )
     TEMPORAL_INDICATORS.update(

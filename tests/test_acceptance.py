@@ -113,7 +113,7 @@ def test_4_conductance_oracle(monkeypatch):
         assert exact == expect
         with monkeypatch.context() as m:  # past the limit: the sweep bound
             m.setattr(static_metrics, "EXACT_CONDUCTANCE_LIMIT", 1)
-            sweep = graph_conductance(f, approximate=True).value
+            sweep = graph_conductance(f).value
         assert sweep >= exact
         checked += 1
     assert checked >= 80

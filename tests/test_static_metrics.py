@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import pytest
 from tvgkit import static_metrics
 from tvgkit.core import Footprint, active_nodes
 from tvgkit.static_metrics import (
-    LimitExceededError,
+    ConductanceResult,
     average_clustering,
     average_modularity,
     clustering_coefficient,
@@ -360,12 +360,22 @@ class TestGraphConductance:
             if math.isnan(expect):
                 assert math.isnan(got)
             else:
-                assert got == pytest.approx(expect)
+                assert got == expect
 
-    def test_limit_enforced_without_approximation(self):
-        f = complete(25)
-        with pytest.raises(LimitExceededError):
-            graph_conductance(f)
+    def test_exact_up_to_the_limit_sweep_beyond(self):
+        # two 40-cliques joined by one edge, on ids that are not positions:
+        # the sweep's side bitmasks are wider than 64 bits
+        ids = range(0, 240, 3)
+        halves = [combinations(ids[:40], 2), combinations(ids[40:], 2)]
+        barbell = Footprint(ids, False, [*chain(*halves), (ids[39], ids[40])], (0, 1))
+        cases = [
+            (complete(20), ConductanceResult(10 / 19, True)),
+            (complete(21), ConductanceResult(11 / 20, False)),
+            (complete(25), ConductanceResult(13 / 24, False)),
+            (barbell, ConductanceResult(1 / 1561, False)),
+        ]
+        for f, expect in cases:
+            assert graph_conductance(f) == expect
 
     def test_sweep_bound_dominates_exact(self, monkeypatch):
         rng = random.Random(19)
@@ -374,7 +384,7 @@ class TestGraphConductance:
             exact = graph_conductance(f).value
             with monkeypatch.context() as m:  # past the limit: the sweep bound
                 m.setattr(static_metrics, "EXACT_CONDUCTANCE_LIMIT", 1)
-                sweep = graph_conductance(f, approximate=True).value
+                sweep = graph_conductance(f).value
             if math.isnan(exact) or math.isnan(sweep):
                 continue
             assert sweep >= exact - 1e-12
