@@ -5,6 +5,10 @@ carrying a presence set: the sub-intervals of the graph lifetime during
 which the edge exists.  Time is measured in integer ticks whose unit is the
 caller's convention (seconds, days, ...).  All intervals are half-open
 ``[a, b)``.
+
+Importing this module does not load numpy: the interval table behind
+:meth:`TimeVaryingGraph.arcs_at` is its only bulk arithmetic, and its first
+call imports numpy to build it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 from itertools import chain, starmap
 from operator import eq
 from typing import Iterable, NamedTuple, Optional, Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -291,6 +293,8 @@ class TimeVaryingGraph:
     def arcs_at(self, t: int) -> list[tuple[int, int, int]]:
         """The arcs ``(tail, edge index, head)`` present at ``t``, in edge
         order, ``u -> v`` first; the interval table is built on first use."""
+        import numpy as np
+
         if self._intervals is None:
             self._intervals = _build_interval_table(self)
         arcs, starts, ends = self._intervals
@@ -337,6 +341,8 @@ def _build_timeline(g: TimeVaryingGraph) -> Timeline:
 
 def _build_interval_table(g: TimeVaryingGraph) -> tuple:
     # every presence interval of every arc: ``[starts[i], ends[i])`` of ``arcs[i]``
+    import numpy as np
+
     arcs: list[tuple[int, int, int]] = []
     starts: list[int] = []
     ends: list[int] = []

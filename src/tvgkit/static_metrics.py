@@ -17,6 +17,9 @@ Conventions worth knowing:
   in degree order, so their floats do not depend on the interpreter
   (``sum()`` of floats is compensated from Python 3.12 on).
 * Values undefined on a given footprint come back as NaN, never an error.
+* ``average_modularity`` and the spectral sweep of ``graph_conductance``
+  (past ``EXACT_CONDUCTANCE_LIMIT`` nodes) import numpy on first use; the
+  other indicators, and importing this module, do not.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .core import Footprint
 
@@ -94,6 +95,8 @@ def pair_modularity(f: Footprint, u: int, v: int) -> float:
 
 def average_modularity(f: Footprint) -> float:
     """Mean pair modularity over unordered node pairs."""
+    import numpy as np
+
     d = np.array(degree_sequence(f))
     two_m = int(d.sum())  # twice the undirected edge count
     n = f.num_nodes
@@ -206,6 +209,8 @@ def _least_conductance(f: Footprint, cuts: Iterable[tuple[int, int]]) -> float:
 def _sweep_order(f: Footprint) -> list[int]:
     """Positions by the second eigenvector of the normalized Laplacian,
     without the last: the sides of the sweep cut."""
+    import numpy as np
+
     nodes = f.nodes
     n = len(nodes)
     index = {x: i for i, x in enumerate(nodes)}

@@ -1,8 +1,19 @@
-"""Structure of the package: the import graph of its modules."""
+"""Structure of the package: the import graph of its modules, and which
+of them load numpy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+from typing import Iterator, Optional
+
+import pytest
+
+from tvgkit.synth import generate_trace
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tvgkit"
 
@@ -62,21 +73,113 @@ def test_module_imports_are_used():
     assert not unused, f"unused module-level imports: {unused}"
 
 
+def imports_numpy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[0] == "numpy" for a in node.names)
+    return (
+        isinstance(node, ast.ImportFrom)
+        and node.level == 0
+        and node.module.split(".")[0] == "numpy"
+    )
+
+
+def numpy_imports(node, scope: str, in_function: bool = False) -> Iterator[Optional[str]]:
+    """Per numpy import under ``node``: the qualified name of the function
+    that runs it, or None for an import that runs at import time."""
+    for child in ast.iter_child_nodes(node):
+        if imports_numpy(child):
+            yield scope if in_function else None
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = in_function or not isinstance(child, ast.ClassDef)
+            yield from numpy_imports(child, f"{scope}.{child.name}", inner)
+        else:
+            yield from numpy_imports(child, scope, in_function)
+
+
 def test_numpy_is_imported_only_where_bulk_arithmetic_runs():
     # journey searches ask ``core`` which arcs are present; only the
-    # present-arc table and the static indicators' matrices use numpy
-    def imports_numpy(node) -> bool:
-        if isinstance(node, ast.Import):
-            return any(a.name.split(".")[0] == "numpy" for a in node.names)
-        return (
-            isinstance(node, ast.ImportFrom)
-            and node.level == 0
-            and node.module.split(".")[0] == "numpy"
-        )
-
+    # present-arc table and the static indicators' matrices use numpy, and
+    # each imports it on first use, so ``import tvgkit`` does not
     importers = {
-        path.stem
+        where
         for path in PACKAGE.glob("*.py")
-        if any(map(imports_numpy, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+        for where in numpy_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     }
-    assert importers == {"core", "static_metrics"}
+    assert None not in importers, "a module imports numpy at import time"
+    assert {where.split(".")[0] for where in importers} == {"core", "static_metrics"}
+    assert importers == {
+        "core._build_interval_table",
+        "core.TimeVaryingGraph.arcs_at",
+        "static_metrics.average_modularity",
+        "static_metrics._sweep_order",
+    }
+
+
+def numpy_loaded_after(*argvs: list[str]) -> list[bool]:
+    """Whether numpy is in ``sys.modules`` in a fresh interpreter after it
+    imports ``tvgkit.cli``, then after each run of its ``main`` on ``argvs``."""
+    script = textwrap.dedent(
+        """
+        import contextlib, io, json, sys
+        import tvgkit.cli
+        loaded = ["numpy" in sys.modules]
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert tvgkit.cli.main(argv) == 0, argv
+            loaded.append("numpy" in sys.modules)
+        print(json.dumps(loaded))
+        """
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def pt20(tmp_path_factory) -> str:
+    path = tmp_path_factory.mktemp("cold") / "pt20.csv"
+    path.write_text(generate_trace("phase-transition", 7, nodes=20), encoding="utf-8")
+    return str(path)
+
+
+def evolve(trace: str, indicators: str, *options: str) -> list[str]:
+    return ["evolve", trace, "--window", "10", "--indicators", indicators, *options]
+
+
+def query(trace: str, at: int, kind: str) -> list[str]:
+    # the PT20 lifetime starts at 0
+    return ["query", trace, "--from", "n1", "--to", "n19", "--at", str(at), "--kind", kind]
+
+
+KINDS = ("shortest", "foremost", "fastest")
+
+
+def test_cold_start_loads_no_numpy(pt20):
+    # a temporal evolve's floods start at window starts and a query here at
+    # the lifetime start, so neither builds the interval table
+    steps = {
+        "import tvgkit.cli": None,
+        **{
+            f"evolve --kind {kind}": evolve(pt20, "closeness,diameter,betweenness", "--kind", kind)
+            for kind in KINDS
+        },
+        "static evolve": evolve(pt20, "density,avg_clustering,powerlaw"),
+        "footprint": ["footprint", pt20],
+        "generate": ["generate", "uniform-random", "--seed", "1", "--nodes", "20", "--ticks", "40"],
+        **{f"query --kind {kind} --at 0": query(pt20, 0, kind) for kind in KINDS},
+    }
+    loaded = numpy_loaded_after(*filter(None, steps.values()))
+    assert len(loaded) == len(steps)
+    assert not any(loaded), f"numpy loaded by {list(steps)[loaded.index(True)]}"
+
+
+def test_bulk_arithmetic_loads_numpy(pt20):
+    # the gate above would pass vacuously if no path loaded numpy at all
+    assert numpy_loaded_after(evolve(pt20, "avg_modularity")) == [False, True]
+    assert numpy_loaded_after(query(pt20, 5, "fastest")) == [False, True]
