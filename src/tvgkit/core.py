@@ -208,8 +208,12 @@ class TimeVaryingGraph:
     since the graph is immutable: the out- and in-adjacency behind
     :meth:`out_edges` and :meth:`in_edges`, the :meth:`timeline`, the
     :meth:`arcs_at` table and the route-move table that every route-count
-    pass on the graph shares (see ``journeys.minimal_route_counts``).  A
-    graph that only feeds footprints builds none of them.
+    pass on the graph shares (see ``journeys.minimal_route_counts``).
+    Searches keep their rows too: one ``(distances, records)`` row per
+    source searched at the latest ``(t, kind, strict)``, which a search at
+    another key replaces (see ``journeys._search``).  A graph that only
+    feeds footprints builds none of them, and graphs made from a graph
+    (``temporal_subgraph``, ``restrict_nodes``) start without them.
     """
 
     def __init__(
@@ -254,6 +258,9 @@ class TimeVaryingGraph:
         # (kind, strict, limit) -> {state: the states it moves to}, filled
         # by ``journeys.minimal_route_counts``
         self._route_moves: dict[tuple, dict] = {}
+        # {(t, kind, strict): {source: (distances, records)}}, one key at
+        # most, filled by ``journeys._search``
+        self._rows: dict[tuple, dict] = {}
 
     def _build_adjacency(self) -> None:
         # out- and in-adjacency; undirected, one list with both directions

@@ -17,9 +17,13 @@ Every search returns ``(distances, records)``: the ``kind`` distance per
 reachable node, and per reachable node the record of one witness journey,
 ``(record of the hop before, edge index, crossing time)``, which is None
 at the source.  Distances, witnesses and route-count bounds all read
-these two.  A distance search stops once every node is settled; the
-shortest and foremost searches stop once a witness target is, and the
-fastest pass cannot stop early.
+these two, from one search per source, time, kind and mode on a graph:
+the graph keeps each search's pair as that source's row, for the latest
+``(t, kind, strict)`` only, so it holds at most one row per source (see
+``_search``).  A distance search stops once every node is settled.  A
+shortest or foremost witness reads its source's row when the graph holds
+one; otherwise, as ``tvgkit query`` runs it, its search stops once the
+target is settled and keeps nothing.  The fastest pass cannot stop early.
 
 The route-count passes on one graph share their successors: the states
 that a ``(node, bound)`` state moves to are computed once per graph, kind,
@@ -46,6 +50,15 @@ Step = tuple[int, int]  # (edge index, crossing time)
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"unknown distance kind {kind!r}")
+
+
+def _check_query(g: TimeVaryingGraph, kind: str, t: int, *nodes: int) -> None:
+    """The argument checks of every search entry point, in one order: the
+    kind, then the time, then each node."""
+    _check_kind(kind)
+    _check_time(g, t)
+    for x in nodes:
+        _check_node(g, x)
 
 
 def is_journey(g: TimeVaryingGraph, steps: Iterable[Step], strict: bool = False) -> bool:
@@ -238,6 +251,25 @@ _SEARCHES = {
 }
 
 
+def _search(g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool):
+    """``_SEARCHES[kind]``'s ``(distances, records)`` from ``u`` at ``t``.
+
+    The result is kept on the graph as ``u``'s row for the key ``(t,
+    kind, strict)``, so every later read at that key runs no search.  The
+    graph keeps the rows of its latest key only: a new key drops them.
+    Callers read the row and never change it.
+    """
+    key = (t, kind, strict)
+    rows = g._rows.get(key)
+    if rows is None:
+        g._rows.clear()
+        rows = g._rows[key] = {}
+    row = rows.get(u)
+    if row is None:
+        row = rows[u] = _SEARCHES[kind](g, u, t, strict)
+    return row
+
+
 def temporal_view(
     g: TimeVaryingGraph, u: int, v: int, t: int, strict: bool = False
 ) -> Optional[int]:
@@ -280,22 +312,23 @@ def witness_journey(
 
     Unwinds v's record from the ``kind`` search: shortest from the hop at
     which v first enters the pruned layers, foremost from v's earliest
-    arrival; both searches stop once v is settled, which leaves its
-    record as the full search has it.  Fastest takes the record that the
-    pass of ``_fastest_flood`` kept when v first reached its duration,
-    so it departs at the earliest departure of any fastest journey.
+    arrival.  Both read u's row when the graph holds one (see
+    ``_search``); otherwise their search stops once v is settled, which
+    leaves its record as the full search has it, and keeps nothing.
+    Fastest reads u's row, whose pass kept v's record when v first
+    reached its duration, so it departs at the earliest departure of any
+    fastest journey.
     """
-    _check_time(g, t)
-    _check_kind(kind)
-    _check_node(g, u)
-    _check_node(g, v)
+    _check_query(g, kind, t, u, v)
     if u == v:
         return []
-    search = _SEARCHES[kind]
-    if kind == "fastest":  # a later tick may still shorten v's journey
-        records = search(g, u, t, strict)[1]
-    else:
-        records = search(g, u, t, strict, v)[1]
+    row = g._rows.get((t, kind, strict), {}).get(u)
+    if row is None:
+        if kind == "fastest":  # a later tick may still shorten v's journey
+            row = _search(g, u, t, kind, strict)
+        else:
+            row = _SEARCHES[kind](g, u, t, strict, v)
+    records = row[1]
     if v not in records:
         return None
     r = records[v]
@@ -312,11 +345,10 @@ def distance_map(
     """The ``kind`` distance from ``u`` at ``t`` per reachable node
     (unreachable nodes absent): the fewest hops (shortest), the least
     arrival delay after ``t`` (foremost) or the least duration (fastest)
-    over journeys departing at or after ``t``."""
-    _check_kind(kind)
-    _check_time(g, t)
-    _check_node(g, u)
-    return _SEARCHES[kind](g, u, t, strict)[0]
+    over journeys departing at or after ``t``.  The map is a copy of u's
+    row (see ``_search``), the caller's to change."""
+    _check_query(g, kind, t, u)
+    return dict(_search(g, u, t, kind, strict)[0])
 
 
 def _fastest_step(pairs: tuple, p, strict: bool, limit: int) -> tuple:
@@ -393,17 +425,17 @@ def minimal_route_counts(
     state moves to (``_moves``) depend on the kind, the strictness and
     fastest's limit, not on the hop or the source.  Foremost's latest
     crossing and shortest's earlier hops filter what the table returns.
+    That crossing and fastest's limit are read from u's row (see
+    ``_search``).
     """
-    _check_time(g, t)
-    _check_kind(kind)
-    _check_node(g, u)
+    _check_query(g, kind, t, u)
     n = g.n
     start = t
     reached = {u: t}  # shortest: least bound per node over earlier hops
     limit = None  # fastest: no minimal route lasts longer
     if kind != "shortest":
         # no minimal route is longer than the largest distance
-        best = _SEARCHES[kind](g, u, t, strict)[0]
+        best = _search(g, u, t, kind, strict)[0]
         longest = max(best.values())
         # foremost: the latest bound of a minimal route (it crosses by t + longest)
         horizon = t + longest + 1 if strict else t + longest

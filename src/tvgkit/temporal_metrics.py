@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .core import TimeVaryingGraph, _check_node, _check_time
-from .journeys import _check_kind, distance_map, minimal_route_counts
+from .core import TimeVaryingGraph, _check_node
+from .journeys import _check_query, distance_map, minimal_route_counts
 
 
 def eccentricity(
@@ -28,8 +28,7 @@ def eccentricity(
 
 def diameter(g: TimeVaryingGraph, t: int, kind: str, strict: bool = False) -> float:
     """Max eccentricity over all nodes; inf if any is unbounded."""
-    _check_kind(kind)
-    _check_time(g, t)
+    _check_query(g, kind, t)
     worst = 0.0
     for u in range(g.n):
         e = eccentricity(g, u, t, kind, strict)
@@ -50,8 +49,7 @@ def temporal_betweenness_all(
     counts once for q however often it passes q.  One route-count pass
     per source serves every q.
     """
-    _check_kind(kind)
-    _check_time(g, t)
+    _check_query(g, kind, t)
     total = [0.0] * g.n
     for u in range(g.n):
         for v, (_, c, through) in minimal_route_counts(g, u, t, kind, strict).items():

@@ -1,11 +1,20 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tvgkit import core
-from tvgkit.core import Lifetime, PresenceSet, TimeVaryingGraph, build_tvg, footprint
+from tvgkit.core import (
+    Lifetime,
+    PresenceSet,
+    TimeVaryingGraph,
+    build_tvg,
+    footprint,
+    restrict_nodes,
+    temporal_subgraph,
+)
 from tvgkit.journeys import (
     KINDS,
     _SEARCHES,
@@ -16,7 +25,15 @@ from tvgkit.journeys import (
     temporal_view,
     witness_journey,
 )
-from tvgkit.temporal_metrics import temporal_betweenness, temporal_betweenness_all
+from tvgkit.synth import generate_trace
+from tvgkit.temporal_metrics import (
+    eccentricity,
+    temporal_betweenness,
+    temporal_betweenness_all,
+    temporal_closeness,
+)
+from tvgkit.trace_io import parse_trace
+from tvgkit.windows import WindowSpec, evolve_many
 
 from oracles import (
     greedy_crossings,
@@ -648,3 +665,158 @@ def test_out_of_range_node_rejected(entry, x):
     g = tvg([(0, 1, 0, 5), (1, 2, 0, 5)])  # n = 3
     with pytest.raises(ValueError, match=rf"node {x} outside \[0,3\)"):
         NODE_ARGS[entry](g, x)
+
+
+#: the search entry points, each called with kind ``k``, time ``t`` and node ``x``
+SEARCH_ARGS = {
+    "distance_map": lambda g, k, t, x: distance_map(g, x, t, k),
+    "witness_journey_u": lambda g, k, t, x: witness_journey(g, x, 0, t, k),
+    "witness_journey_v": lambda g, k, t, x: witness_journey(g, 0, x, t, k),
+    "minimal_route_counts": lambda g, k, t, x: minimal_route_counts(g, x, t, k),
+}
+
+
+@pytest.mark.parametrize("entry", list(SEARCH_ARGS))
+def test_search_arguments_checked_kind_then_time_then_node(entry):
+    g = tvg([(0, 1, 0, 5), (1, 2, 0, 5)])  # n = 3, lifetime [0, 10)
+    call = SEARCH_ARGS[entry]
+    with pytest.raises(ValueError, match="unknown distance kind 'quickest'"):
+        call(g, "quickest", 10, 3)
+    with pytest.raises(ValueError, match=r"t=10 outside lifetime"):
+        call(g, "foremost", 10, 3)
+    with pytest.raises(ValueError, match=r"node 3 outside"):
+        call(g, "foremost", 0, 3)
+    assert g._rows == {}
+
+
+def fresh(g):
+    """A graph equal to ``g`` that has run no search."""
+    return TimeVaryingGraph(g.n, g.directed, g.lifetime, g.edges, g.presence)
+
+
+def count_searches(monkeypatch) -> list:
+    """Patch every ``_SEARCHES`` entry to record ``(graph, source, t, kind,
+    strict)`` per run, and return the record."""
+    calls = []
+    for kind, search in list(_SEARCHES.items()):
+        def counting(g, u, t, strict, *target, kind=kind, search=search):
+            calls.append((g, u, t, kind, strict))
+            return search(g, u, t, strict, *target)
+
+        monkeypatch.setitem(_SEARCHES, kind, counting)
+    return calls
+
+
+#: the answers that read search rows, called as ``(g, u, v, t, kind, strict)``
+ROW_READERS = {
+    "distance_map": lambda g, u, v, t, k, s: distance_map(g, u, t, k, s),
+    "witness_journey": witness_journey,
+    "eccentricity": lambda g, u, v, t, k, s: eccentricity(g, u, t, k, s),
+    "temporal_closeness": lambda g, u, v, t, k, s: temporal_closeness(g, u, t, k, s),
+    "minimal_route_counts": lambda g, u, v, t, k, s: minimal_route_counts(g, u, t, k, s),
+}
+
+
+class TestSearchRows:
+    """One search per source, time, kind and mode on a graph: distances,
+    witnesses, eccentricities and route-count bounds read its row."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        shape=st.sampled_from(["random", "directed", "labelled", "always-on"]),
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(list(ROW_READERS)),
+                st.integers(0, 7),  # source
+                st.integers(0, 7),  # target
+                st.integers(0, 1),  # which of two start times
+                st.sampled_from(KINDS),
+                st.booleans(),  # strict
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_every_answer_equals_the_answer_on_a_fresh_graph(self, seed, shape, calls):
+        rng = random.Random(seed)
+        if shape == "always-on":
+            g = random_always_on_tvg(rng, n_max=6)
+        else:
+            g = random_tvg(rng, n_max=6, e_max=9, horizon=10, directed=shape == "directed")
+            if shape == "labelled":
+                g = with_labelled_parallels(rng, g)
+        times = [g.lifetime.start, rng.randrange(g.lifetime.start, g.lifetime.end)]
+        for name, u, v, i, kind, strict in calls:
+            args = (u % g.n, v % g.n, times[i], kind, strict)
+            # repr: an undefined closeness is NaN, equal to no NaN
+            assert repr(ROW_READERS[name](g, *args)) == repr(ROW_READERS[name](fresh(g), *args))
+            assert len(g._rows) <= 1
+
+    def test_witness_from_the_row_equals_the_witness_alone(self, monkeypatch):
+        calls = count_searches(monkeypatch)
+        rng = random.Random(5)
+        for kind in KINDS:
+            for strict in (False, True):
+                for _ in range(10):
+                    g = with_labelled_parallels(rng, random_tvg(rng, directed=rng.random() < 0.5))
+                    t = rng.randrange(g.lifetime.start, g.lifetime.end)
+                    u = rng.randrange(g.n)
+                    alone = [witness_journey(fresh(g), u, v, t, kind, strict) for v in range(g.n)]
+                    del calls[:]
+                    distance_map(g, u, t, kind, strict)
+                    assert [witness_journey(g, u, v, t, kind, strict) for v in range(g.n)] == alone
+                    # the distance and its witnesses ran one search
+                    assert calls == [(g, u, t, kind, strict)]
+
+    def test_a_witness_alone_keeps_nothing(self):
+        g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
+        direct = g.edges.index(core.Edge(0, 3))
+        assert witness_journey(g, 0, 3, 0, "shortest") == [(direct, 6)]
+        assert witness_journey(g, 0, 3, 0, "foremost") == [(0, 0), (2, 2), (3, 4)]
+        assert g._rows == {}
+        # a fastest witness reads the source's full pass, which it keeps
+        witness_journey(g, 0, 3, 0, "fastest")
+        assert list(g._rows) == [(0, "fastest", False)]
+
+    def test_changing_a_distance_map_changes_no_later_answer(self):
+        rng = random.Random(11)
+        for kind in KINDS:
+            g = random_tvg(rng)
+            t = g.lifetime.start
+            expect = [f(fresh(g), 0, 1, t, kind, False) for f in ROW_READERS.values()]
+            d = distance_map(g, 0, t, kind)
+            d[0] = 99
+            d[g.n] = 1
+            d.clear()
+            assert [f(g, 0, 1, t, kind, False) for f in ROW_READERS.values()] == expect
+
+    def test_only_the_latest_key_keeps_rows(self):
+        g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
+        distance_map(g, 0, 1, "foremost")
+        eccentricity(g, 2, 1, "foremost")
+        assert list(g._rows) == [(1, "foremost", False)]
+        assert set(g._rows[1, "foremost", False]) == {0, 2}
+        for key in [(1, "foremost", True), (2, "foremost", True), (2, "fastest", True)]:
+            t, kind, strict = key
+            minimal_route_counts(g, 3, t, kind, strict)
+            assert list(g._rows) == [key]
+            assert set(g._rows[key]) == {3}
+
+    def test_derived_graphs_start_without_rows(self):
+        g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
+        temporal_closeness(g, 0, 0, "fastest")
+        assert g._rows
+        assert temporal_subgraph(g, 0, 10)._rows == {}
+        assert restrict_nodes(g, range(4))._rows == {}
+
+    @pytest.mark.parametrize("kind", ["foremost", "fastest"])
+    def test_an_evolve_searches_each_source_once_per_window(self, monkeypatch, kind):
+        g = parse_trace(generate_trace("phase-transition", 7, nodes=20)).graph
+        calls = count_searches(monkeypatch)
+        names = ["closeness", "diameter", "eccentricity", "betweenness"]
+        evolve_many(g, WindowSpec(10), names, kind=kind)
+        runs = Counter((id(sub), u, t, k, strict) for sub, u, t, k, strict in calls)
+        assert {k for _, _, _, k, _ in calls} == {kind}
+        assert len({id(sub) for sub, *_ in calls}) == 12
+        assert max(runs.values()) == 1
