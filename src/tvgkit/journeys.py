@@ -17,12 +17,15 @@ Every search returns ``(distances, records)``: the ``kind`` distance per
 reachable node, and per reachable node the record of one witness journey,
 ``(record of the hop before, edge index, crossing time)``, which is None
 at the source.  Distances, witnesses and route-count bounds all read
-these two, from one search per source, time, kind and mode on a graph:
-the graph keeps each search's pair as that source's row, for the latest
-``(t, kind, strict)`` only, so it holds at most one row per source (see
-``_search``).  A distance search stops once every node is settled.  A
+these two as the source's row, which the graph keeps (see ``_search``).
+A graph keeps its latest row only, so a distance map and the witnesses
+from the same source, time, kind and mode run one search, and the rows
+take the memory of one search.  A window's subgraph whose indicators
+share rows (see ``windows.evolve_many``) keeps one row per source for
+the latest ``(t, kind, strict)``, so its indicators run one search per
+source.  A distance search stops once every node is settled.  A
 shortest or foremost witness reads its source's row when the graph holds
-one; otherwise, as ``tvgkit query`` runs it, its search stops once the
+it; otherwise, as ``tvgkit query`` runs it, its search stops once the
 target is settled and keeps nothing.  The fastest pass cannot stop early.
 
 The route-count passes on one graph share their successors: the states
@@ -251,22 +254,27 @@ _SEARCHES = {
 }
 
 
-def _search(g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool):
+def _search(
+    g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool, stored_only: bool = False
+):
     """``_SEARCHES[kind]``'s ``(distances, records)`` from ``u`` at ``t``.
 
     The result is kept on the graph as ``u``'s row for the key ``(t,
-    kind, strict)``, so every later read at that key runs no search.  The
-    graph keeps the rows of its latest key only: a new key drops them.
-    Callers read the row and never change it.
+    kind, strict)``, so a later read of it runs no search.  A graph keeps
+    the latest row only, unless it shares rows (``g._share_rows``, set by
+    ``windows.evolve_many`` on a window's subgraph when several of its
+    indicators read them): then it keeps one row per source of its latest
+    key, and a new key drops them.  With ``stored_only`` no search runs
+    and a missing row is None.  Callers read the row and never change it.
     """
     key = (t, kind, strict)
-    rows = g._rows.get(key)
-    if rows is None:
-        g._rows.clear()
-        rows = g._rows[key] = {}
-    row = rows.get(u)
-    if row is None:
-        row = rows[u] = _SEARCHES[kind](g, u, t, strict)
+    row = g._rows.get(key, {}).get(u)
+    if row is None and not stored_only:
+        row = _SEARCHES[kind](g, u, t, strict)
+        if g._share_rows and key in g._rows:
+            g._rows[key][u] = row
+        else:
+            g._rows = {key: {u: row}}
     return row
 
 
@@ -322,12 +330,10 @@ def witness_journey(
     _check_query(g, kind, t, u, v)
     if u == v:
         return []
-    row = g._rows.get((t, kind, strict), {}).get(u)
+    # fastest runs its full pass: a later tick may still shorten v's journey
+    row = _search(g, u, t, kind, strict, stored_only=kind != "fastest")
     if row is None:
-        if kind == "fastest":  # a later tick may still shorten v's journey
-            row = _search(g, u, t, kind, strict)
-        else:
-            row = _SEARCHES[kind](g, u, t, strict, v)
+        row = _SEARCHES[kind](g, u, t, strict, v)
     records = row[1]
     if v not in records:
         return None

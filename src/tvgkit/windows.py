@@ -258,6 +258,17 @@ def _window_betweenness(g, t, kind, reducer, strict) -> float:
     return _reduce(tm.temporal_betweenness_all(g, t, kind, strict), reducer)
 
 
+def _row_readers(names: Sequence[str], kind: str) -> int:
+    """How many of ``names`` read each source's search row (see
+    ``journeys._search``): the distance indicators, and betweenness but for
+    shortest, whose route-count bounds read it."""
+    return sum(
+        name in ("diameter", "eccentricity", "closeness")
+        or (name == "betweenness" and kind != "shortest")
+        for name in names
+    )
+
+
 #: static indicator name -> callable(Footprint) -> float
 STATIC_INDICATORS = {}
 #: temporal indicator name -> callable(tvg, t, kind, reducer, strict) -> float
@@ -310,6 +321,9 @@ def evolve_many(
     node policy's nodes, only if a temporal one is.  Static indicators run
     on footprints, temporal ones on the subgraph at the window start.
     Windows where an indicator is undefined or that have no node yield NaN.
+    When several indicators read the search rows, the subgraph keeps one
+    row per source for the window, so each source is searched once per
+    window; otherwise it keeps the latest row only.
     """
     _load_registries()
     for name in names:
@@ -322,6 +336,7 @@ def evolve_many(
     wins = windows_of(g.lifetime, spec)
     static = any(name in STATIC_INDICATORS for name in names)
     temporal = any(name in TEMPORAL_INDICATORS for name in names)
+    share_rows = _row_readers(names, kind) > 1
     fps = _footprints(g, spec, wins, node_policy) if static else None
     values: list[list[float]] = [[] for _ in names]
     for a, b in wins:
@@ -330,6 +345,7 @@ def evolve_many(
             sub = temporal_subgraph(g, a, b)
             if node_policy == "active":
                 sub = restrict_nodes(sub, {x for e in sub.edges for x in (e.u, e.v)})
+            sub._share_rows = share_rows
         for name, vals in zip(names, values):
             if name in STATIC_INDICATORS:
                 vals.append(float(STATIC_INDICATORS[name](f)))

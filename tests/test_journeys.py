@@ -27,6 +27,7 @@ from tvgkit.journeys import (
 )
 from tvgkit.synth import generate_trace
 from tvgkit.temporal_metrics import (
+    diameter,
     eccentricity,
     temporal_betweenness,
     temporal_betweenness_all,
@@ -725,6 +726,7 @@ class TestSearchRows:
     @given(
         seed=st.integers(0, 10**6),
         shape=st.sampled_from(["random", "directed", "labelled", "always-on"]),
+        share=st.booleans(),
         calls=st.lists(
             st.tuples(
                 st.sampled_from(list(ROW_READERS)),
@@ -738,7 +740,7 @@ class TestSearchRows:
             max_size=12,
         ),
     )
-    def test_every_answer_equals_the_answer_on_a_fresh_graph(self, seed, shape, calls):
+    def test_every_answer_equals_the_answer_on_a_fresh_graph(self, seed, shape, share, calls):
         rng = random.Random(seed)
         if shape == "always-on":
             g = random_always_on_tvg(rng, n_max=6)
@@ -746,12 +748,14 @@ class TestSearchRows:
             g = random_tvg(rng, n_max=6, e_max=9, horizon=10, directed=shape == "directed")
             if shape == "labelled":
                 g = with_labelled_parallels(rng, g)
+        g._share_rows = share
         times = [g.lifetime.start, rng.randrange(g.lifetime.start, g.lifetime.end)]
         for name, u, v, i, kind, strict in calls:
             args = (u % g.n, v % g.n, times[i], kind, strict)
             # repr: an undefined closeness is NaN, equal to no NaN
             assert repr(ROW_READERS[name](g, *args)) == repr(ROW_READERS[name](fresh(g), *args))
             assert len(g._rows) <= 1
+            assert share or sum(map(len, g._rows.values())) <= 1
 
     def test_witness_from_the_row_equals_the_witness_alone(self, monkeypatch):
         calls = count_searches(monkeypatch)
@@ -791,8 +795,27 @@ class TestSearchRows:
             d.clear()
             assert [f(g, 0, 1, t, kind, False) for f in ROW_READERS.values()] == expect
 
+    def test_a_graph_keeps_its_latest_row_only(self, monkeypatch):
+        g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
+        distance_map(g, 0, 1, "foremost")
+        eccentricity(g, 2, 1, "foremost")
+        assert g._rows == {(1, "foremost", False): {2: _SEARCHES["foremost"](g, 2, 1, False)}}
+        # an all-sources pass holds one row at a time, as a search alone does
+        held = []
+        for kind, search in list(_SEARCHES.items()):
+            def holding(g, *args, search=search):
+                held.append(sum(map(len, g._rows.values())))
+                return search(g, *args)
+
+            monkeypatch.setitem(_SEARCHES, kind, holding)
+        for kind in KINDS:
+            diameter(g, 0, kind)
+            temporal_betweenness_all(g, 0, kind)
+        assert held and max(held) <= 1
+
     def test_only_the_latest_key_keeps_rows(self):
         g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
+        g._share_rows = True
         distance_map(g, 0, 1, "foremost")
         eccentricity(g, 2, 1, "foremost")
         assert list(g._rows) == [(1, "foremost", False)]
@@ -805,10 +828,12 @@ class TestSearchRows:
 
     def test_derived_graphs_start_without_rows(self):
         g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
+        g._share_rows = True
         temporal_closeness(g, 0, 0, "fastest")
         assert g._rows
-        assert temporal_subgraph(g, 0, 10)._rows == {}
-        assert restrict_nodes(g, range(4))._rows == {}
+        for derived in (temporal_subgraph(g, 0, 10), restrict_nodes(g, range(4))):
+            assert derived._rows == {}
+            assert not derived._share_rows
 
     @pytest.mark.parametrize("kind", ["foremost", "fastest"])
     def test_an_evolve_searches_each_source_once_per_window(self, monkeypatch, kind):
@@ -820,3 +845,24 @@ class TestSearchRows:
         assert {k for _, _, _, k, _ in calls} == {kind}
         assert len({id(sub) for sub, *_ in calls}) == 12
         assert max(runs.values()) == 1
+
+    @pytest.mark.parametrize(
+        "kind, names",
+        [
+            ("foremost", ["closeness"]),
+            ("fastest", ["betweenness"]),
+            ("shortest", ["closeness", "betweenness"]),
+        ],
+    )
+    def test_an_evolve_with_one_row_reader_keeps_one_row(self, monkeypatch, kind, names):
+        g = parse_trace(generate_trace("phase-transition", 7, nodes=20)).graph
+        held = []
+        search = _SEARCHES[kind]
+
+        def holding(g, *args):
+            held.append(sum(map(len, g._rows.values())))
+            return search(g, *args)
+
+        monkeypatch.setitem(_SEARCHES, kind, holding)
+        evolve_many(g, WindowSpec(10), names, kind=kind)
+        assert held and max(held) <= 1
