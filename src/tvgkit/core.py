@@ -209,13 +209,11 @@ class TimeVaryingGraph:
     :meth:`out_edges` and :meth:`in_edges`, the :meth:`timeline`, the
     :meth:`arcs_at` table and the route-move table that every route-count
     pass on the graph shares (see ``journeys.minimal_route_counts``).
-    Searches keep their rows too: the latest search's ``(distances,
-    records)``, or, on a graph that shares rows (a window's subgraph in
-    ``windows.evolve_many``), one row per source searched at the latest
-    ``(t, kind, strict)``, which a search at another key replaces (see
-    ``journeys._search``).  A graph that only
-    feeds footprints builds none of them, and graphs made from a graph
-    (``temporal_subgraph``, ``restrict_nodes``) start without them.
+    Searches keep one row too: the latest search's ``(distances,
+    records)``, which the next search replaces (see ``journeys._search``).
+    A graph that only feeds footprints builds none of them, and graphs
+    made from a graph (``temporal_subgraph``, ``restrict_nodes``) start
+    without them.
     """
 
     def __init__(
@@ -260,11 +258,9 @@ class TimeVaryingGraph:
         # (kind, strict, limit) -> {state: the states it moves to}, filled
         # by ``journeys.minimal_route_counts``
         self._route_moves: dict[tuple, dict] = {}
-        # {(t, kind, strict): {source: (distances, records)}}, one key at
-        # most and one source unless ``_share_rows``, filled by
-        # ``journeys._search``
-        self._rows: dict[tuple, dict] = {}
-        self._share_rows = False
+        # the latest search row, ((source, t, kind, strict), (distances,
+        # records)), kept by ``journeys._search``
+        self._row: Optional[tuple] = None
 
     def _build_adjacency(self) -> None:
         # out- and in-adjacency; undirected, one list with both directions

@@ -17,16 +17,16 @@ Every search returns ``(distances, records)``: the ``kind`` distance per
 reachable node, and per reachable node the record of one witness journey,
 ``(record of the hop before, edge index, crossing time)``, which is None
 at the source.  Distances, witnesses and route-count bounds all read
-these two as the source's row, which the graph keeps (see ``_search``).
-A graph keeps its latest row only, so a distance map and the witnesses
-from the same source, time, kind and mode run one search, and the rows
-take the memory of one search.  A window's subgraph whose indicators
-share rows (see ``windows.evolve_many``) keeps one row per source for
-the latest ``(t, kind, strict)``, so its indicators run one search per
-source.  A distance search stops once every node is settled.  A
-shortest or foremost witness reads its source's row when the graph holds
-it; otherwise, as ``tvgkit query`` runs it, its search stops once the
-target is settled and keeps nothing.  The fastest pass cannot stop early.
+these two as the source's row.  A graph keeps one row, its latest (see
+``_search``), so a distance map and the witnesses from the same source,
+time, kind and mode run one search, and the row takes the memory of one
+search.  A window's indicators walk its sources once and read each row
+before the next search (see ``windows.evolve_many``), so they too run one
+search per source.  A distance search stops once every node is settled.
+A shortest or foremost witness reads its source's row when the graph
+holds it; otherwise, as ``tvgkit query`` runs it, its search stops once
+the target is settled and keeps nothing.  The fastest pass cannot stop
+early.
 
 The route-count passes on one graph share their successors: the states
 that a ``(node, bound)`` state moves to are computed once per graph, kind,
@@ -259,22 +259,18 @@ def _search(
 ):
     """``_SEARCHES[kind]``'s ``(distances, records)`` from ``u`` at ``t``.
 
-    The result is kept on the graph as ``u``'s row for the key ``(t,
-    kind, strict)``, so a later read of it runs no search.  A graph keeps
-    the latest row only, unless it shares rows (``g._share_rows``, set by
-    ``windows.evolve_many`` on a window's subgraph when several of its
-    indicators read them): then it keeps one row per source of its latest
-    key, and a new key drops them.  With ``stored_only`` no search runs
-    and a missing row is None.  Callers read the row and never change it.
+    The graph keeps the result as its one row, so a later read with the
+    same source, time, kind and mode runs no search; any other search
+    replaces it.  With ``stored_only`` no search runs and a missing row
+    is None.  Callers read the row and never change it.
     """
-    key = (t, kind, strict)
-    row = g._rows.get(key, {}).get(u)
-    if row is None and not stored_only:
-        row = _SEARCHES[kind](g, u, t, strict)
-        if g._share_rows and key in g._rows:
-            g._rows[key][u] = row
-        else:
-            g._rows = {key: {u: row}}
+    key = (u, t, kind, strict)
+    if g._row is not None and g._row[0] == key:
+        return g._row[1]
+    if stored_only:
+        return None
+    row = _SEARCHES[kind](g, u, t, strict)
+    g._row = (key, row)
     return row
 
 

@@ -52,13 +52,21 @@ def temporal_betweenness_all(
     _check_query(g, kind, t)
     total = [0.0] * g.n
     for u in range(g.n):
-        for v, (_, c, through) in minimal_route_counts(g, u, t, kind, strict).items():
-            if v == u:
-                continue
-            for q, cq in enumerate(through):
-                if q != u and q != v:
-                    total[q] += cq / c
+        _add_shares(total, g, u, t, kind, strict)
     return total
+
+
+def _add_shares(
+    total: list[float], g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool
+) -> None:
+    """Add to ``total[q]`` source ``u``'s terms of q's temporal betweenness
+    (see ``temporal_betweenness_all``), target by target."""
+    for v, (_, c, through) in minimal_route_counts(g, u, t, kind, strict).items():
+        if v == u:
+            continue
+        for q, cq in enumerate(through):
+            if q != u and q != v:
+                total[q] += cq / c
 
 
 def temporal_betweenness(

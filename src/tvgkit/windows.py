@@ -234,50 +234,50 @@ def _reduce(values: list[float], reducer: str) -> float:
     return math.sqrt(reduce(add, ((v - mean) ** 2 for v in finite), 0.0) / len(finite))
 
 
-# The temporal indicators per window: ``g`` is a window's temporal subgraph
-# with at least one node, ``t`` its start; ``evolve_many`` checks the rest.
-def _window_eccentricity(g, t, kind, reducer, strict) -> float:
-    return _reduce(
-        [tm.eccentricity(g, u, t, kind, strict) for u in range(g.n)], reducer
-    )
+def _window_temporal(g, t, names, kind, reducer, strict) -> dict[str, float]:
+    """The temporal indicators ``names`` of a window, by name, NaN where
+    unbounded or undefined: ``g`` is its temporal subgraph and ``t`` its
+    start; ``evolve_many`` checks the rest.
 
-
-def _window_diameter(g, t, kind, reducer, strict) -> float:
-    if not g.edges:
-        return math.nan
-    return tm.diameter(g, t, kind, strict)
-
-
-def _window_closeness(g, t, kind, reducer, strict) -> float:
-    return _reduce(
-        [tm.temporal_closeness(g, u, t, kind, strict) for u in range(g.n)], reducer
-    )
-
-
-def _window_betweenness(g, t, kind, reducer, strict) -> float:
-    return _reduce(tm.temporal_betweenness_all(g, t, kind, strict), reducer)
-
-
-def _row_readers(names: Sequence[str], kind: str) -> int:
-    """How many of ``names`` read each source's search row (see
-    ``journeys._search``): the distance indicators, and betweenness but for
-    shortest, whose route-count bounds read it."""
-    return sum(
-        name in ("diameter", "eccentricity", "closeness")
-        or (name == "betweenness" and kind != "shortest")
+    One walk over the sources, in id order, hands each source's search
+    row to every indicator before the next search, so the graph's one
+    row (see ``journeys._search``) serves them all.  A diameter reads
+    eccentricities up to its first unbounded one only.
+    """
+    ecc: list[float] = []
+    close: list[float] = []
+    shares = [0.0] * g.n
+    for u in range(g.n):
+        # without eccentricity, a diameter needs none past an unbounded one
+        if "eccentricity" in names or (
+            "diameter" in names and g.edges and math.inf not in ecc
+        ):
+            ecc.append(tm.eccentricity(g, u, t, kind, strict))
+        if "closeness" in names:
+            close.append(tm.temporal_closeness(g, u, t, kind, strict))
+        if "betweenness" in names:
+            tm._add_shares(shares, g, u, t, kind, strict)
+    values = {
+        "diameter": _reduce(ecc, "max") if g.edges else math.nan,
+        "eccentricity": _reduce(ecc, reducer),
+        "closeness": _reduce(close, reducer),
+        "betweenness": _reduce(shares, reducer),
+    }
+    return {
+        name: values[name] if math.isfinite(values[name]) else math.nan
         for name in names
-    )
+    }
 
 
 #: static indicator name -> callable(Footprint) -> float
 STATIC_INDICATORS = {}
-#: temporal indicator name -> callable(tvg, t, kind, reducer, strict) -> float
-TEMPORAL_INDICATORS = {}
+#: temporal indicator names, evaluated together by ``_window_temporal``
+TEMPORAL_INDICATORS = ("betweenness", "closeness", "diameter", "eccentricity")
 
 
 def _load_registries():
     # filled on first use, not at import: perfbench's tracer refuses to
-    # install once the registries hold entries
+    # install once the registry holds entries
     if STATIC_INDICATORS:
         return
     STATIC_INDICATORS.update(
@@ -287,14 +287,6 @@ def _load_registries():
             "avg_modularity": sm.average_modularity,
             "powerlaw": lambda f: sm.powerlaw_exponent(sm.degree_sequence(f)),
             "conductance": lambda f: sm.graph_conductance(f).value,
-        }
-    )
-    TEMPORAL_INDICATORS.update(
-        {
-            "diameter": _window_diameter,
-            "eccentricity": _window_eccentricity,
-            "closeness": _window_closeness,
-            "betweenness": _window_betweenness,
         }
     )
 
@@ -321,9 +313,8 @@ def evolve_many(
     node policy's nodes, only if a temporal one is.  Static indicators run
     on footprints, temporal ones on the subgraph at the window start.
     Windows where an indicator is undefined or that have no node yield NaN.
-    When several indicators read the search rows, the subgraph keeps one
-    row per source for the window, so each source is searched once per
-    window; otherwise it keeps the latest row only.
+    A window's temporal indicators walk its sources once, so each source
+    is searched once per window and the subgraph keeps one row.
     """
     _load_registries()
     for name in names:
@@ -335,8 +326,7 @@ def evolve_many(
         raise ValueError(f"unknown reducer {reducer!r}")
     wins = windows_of(g.lifetime, spec)
     static = any(name in STATIC_INDICATORS for name in names)
-    temporal = any(name in TEMPORAL_INDICATORS for name in names)
-    share_rows = _row_readers(names, kind) > 1
+    temporal = [name for name in names if name in TEMPORAL_INDICATORS]
     fps = _footprints(g, spec, wins, node_policy) if static else None
     values: list[list[float]] = [[] for _ in names]
     for a, b in wins:
@@ -345,15 +335,12 @@ def evolve_many(
             sub = temporal_subgraph(g, a, b)
             if node_policy == "active":
                 sub = restrict_nodes(sub, {x for e in sub.edges for x in (e.u, e.v)})
-            sub._share_rows = share_rows
+            got = _window_temporal(sub, a, temporal, kind, reducer, strict)
         for name, vals in zip(names, values):
             if name in STATIC_INDICATORS:
                 vals.append(float(STATIC_INDICATORS[name](f)))
-            elif not sub.n:
-                vals.append(math.nan)
             else:
-                v = TEMPORAL_INDICATORS[name](sub, a, kind, reducer, strict)
-                vals.append(v if math.isfinite(v) else math.nan)
+                vals.append(got[name])
     return [IndicatorSeries(name, list(wins), vals) for name, vals in zip(names, values)]
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -687,7 +688,7 @@ def test_search_arguments_checked_kind_then_time_then_node(entry):
         call(g, "foremost", 10, 3)
     with pytest.raises(ValueError, match=r"node 3 outside"):
         call(g, "foremost", 0, 3)
-    assert g._rows == {}
+    assert g._row is None
 
 
 def fresh(g):
@@ -708,6 +709,29 @@ def count_searches(monkeypatch) -> list:
     return calls
 
 
+def rows_held(monkeypatch) -> list:
+    """Patch every ``_SEARCHES`` entry to record, per run, how many search
+    rows are alive before it, kept by a graph or held by a caller, and
+    return the record."""
+
+    class Row(dict):  # a dict that weak references can follow
+        pass
+
+    alive: set[int] = set()  # the ids of the rows alive
+    held = []
+    for kind, search in list(_SEARCHES.items()):
+        def holding(g, *args, search=search):
+            held.append(len(alive))
+            distances, records = search(g, *args)
+            row = Row(distances)
+            alive.add(id(row))
+            weakref.finalize(row, alive.discard, id(row))
+            return row, records
+
+        monkeypatch.setitem(_SEARCHES, kind, holding)
+    return held
+
+
 #: the answers that read search rows, called as ``(g, u, v, t, kind, strict)``
 ROW_READERS = {
     "distance_map": lambda g, u, v, t, k, s: distance_map(g, u, t, k, s),
@@ -726,7 +750,6 @@ class TestSearchRows:
     @given(
         seed=st.integers(0, 10**6),
         shape=st.sampled_from(["random", "directed", "labelled", "always-on"]),
-        share=st.booleans(),
         calls=st.lists(
             st.tuples(
                 st.sampled_from(list(ROW_READERS)),
@@ -740,7 +763,7 @@ class TestSearchRows:
             max_size=12,
         ),
     )
-    def test_every_answer_equals_the_answer_on_a_fresh_graph(self, seed, shape, share, calls):
+    def test_every_answer_equals_the_answer_on_a_fresh_graph(self, seed, shape, calls):
         rng = random.Random(seed)
         if shape == "always-on":
             g = random_always_on_tvg(rng, n_max=6)
@@ -748,14 +771,15 @@ class TestSearchRows:
             g = random_tvg(rng, n_max=6, e_max=9, horizon=10, directed=shape == "directed")
             if shape == "labelled":
                 g = with_labelled_parallels(rng, g)
-        g._share_rows = share
         times = [g.lifetime.start, rng.randrange(g.lifetime.start, g.lifetime.end)]
         for name, u, v, i, kind, strict in calls:
             args = (u % g.n, v % g.n, times[i], kind, strict)
             # repr: an undefined closeness is NaN, equal to no NaN
             assert repr(ROW_READERS[name](g, *args)) == repr(ROW_READERS[name](fresh(g), *args))
-            assert len(g._rows) <= 1
-            assert share or sum(map(len, g._rows.values())) <= 1
+            # the row kept is its key's search on a fresh graph
+            if g._row is not None:
+                (x, t, k, s), row = g._row
+                assert row == _SEARCHES[k](fresh(g), x, t, s)
 
     def test_witness_from_the_row_equals_the_witness_alone(self, monkeypatch):
         calls = count_searches(monkeypatch)
@@ -778,10 +802,10 @@ class TestSearchRows:
         direct = g.edges.index(core.Edge(0, 3))
         assert witness_journey(g, 0, 3, 0, "shortest") == [(direct, 6)]
         assert witness_journey(g, 0, 3, 0, "foremost") == [(0, 0), (2, 2), (3, 4)]
-        assert g._rows == {}
+        assert g._row is None
         # a fastest witness reads the source's full pass, which it keeps
         witness_journey(g, 0, 3, 0, "fastest")
-        assert list(g._rows) == [(0, "fastest", False)]
+        assert g._row[0] == (0, 0, "fastest", False)
 
     def test_changing_a_distance_map_changes_no_later_answer(self):
         rng = random.Random(11)
@@ -799,41 +823,33 @@ class TestSearchRows:
         g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
         distance_map(g, 0, 1, "foremost")
         eccentricity(g, 2, 1, "foremost")
-        assert g._rows == {(1, "foremost", False): {2: _SEARCHES["foremost"](g, 2, 1, False)}}
+        assert g._row == ((2, 1, "foremost", False), _SEARCHES["foremost"](g, 2, 1, False))
         # an all-sources pass holds one row at a time, as a search alone does
-        held = []
-        for kind, search in list(_SEARCHES.items()):
-            def holding(g, *args, search=search):
-                held.append(sum(map(len, g._rows.values())))
-                return search(g, *args)
-
-            monkeypatch.setitem(_SEARCHES, kind, holding)
+        held = rows_held(monkeypatch)
         for kind in KINDS:
             diameter(g, 0, kind)
             temporal_betweenness_all(g, 0, kind)
         assert held and max(held) <= 1
 
-    def test_only_the_latest_key_keeps_rows(self):
+    def test_only_the_latest_key_keeps_rows(self, monkeypatch):
         g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
-        g._share_rows = True
+        calls = count_searches(monkeypatch)
         distance_map(g, 0, 1, "foremost")
         eccentricity(g, 2, 1, "foremost")
-        assert list(g._rows) == [(1, "foremost", False)]
-        assert set(g._rows[1, "foremost", False]) == {0, 2}
+        # source 2's row replaced source 0's, so 0 is searched again
+        distance_map(g, 0, 1, "foremost")
+        assert [u for _, u, *_ in calls] == [0, 2, 0]
         for key in [(1, "foremost", True), (2, "foremost", True), (2, "fastest", True)]:
             t, kind, strict = key
             minimal_route_counts(g, 3, t, kind, strict)
-            assert list(g._rows) == [key]
-            assert set(g._rows[key]) == {3}
+            assert g._row[0] == (3, *key)
 
     def test_derived_graphs_start_without_rows(self):
         g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
-        g._share_rows = True
         temporal_closeness(g, 0, 0, "fastest")
-        assert g._rows
+        assert g._row is not None
         for derived in (temporal_subgraph(g, 0, 10), restrict_nodes(g, range(4))):
-            assert derived._rows == {}
-            assert not derived._share_rows
+            assert derived._row is None
 
     @pytest.mark.parametrize("kind", ["foremost", "fastest"])
     def test_an_evolve_searches_each_source_once_per_window(self, monkeypatch, kind):
@@ -846,6 +862,26 @@ class TestSearchRows:
         assert len({id(sub) for sub, *_ in calls}) == 12
         assert max(runs.values()) == 1
 
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_evolve_holds_one_row_at_a_search(self, monkeypatch, kind, strict):
+        # a window's indicators read each source's row before the next
+        # search, so no window holds a row per source
+        g = parse_trace(generate_trace("phase-transition", 7, nodes=20)).graph
+        held = rows_held(monkeypatch)
+        names = ["closeness", "diameter", "eccentricity", "betweenness"]
+        evolve_many(g, WindowSpec(10), names, kind=kind, strict=strict)
+        assert held and max(held) <= 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_diameter_alone_stops_at_its_first_unbounded_source(self, monkeypatch, kind):
+        g = parse_trace(generate_trace("phase-transition", 7, nodes=20)).graph
+        calls = count_searches(monkeypatch)
+        series = evolve_many(g, WindowSpec(10), ["diameter"], kind=kind)[0]
+        # every window is disconnected: its first source is unbounded
+        assert all(math.isnan(v) for v in series.values)
+        assert len(calls) == len({id(sub) for sub, *_ in calls}) == 12
+
     @pytest.mark.parametrize(
         "kind, names",
         [
@@ -856,13 +892,6 @@ class TestSearchRows:
     )
     def test_an_evolve_with_one_row_reader_keeps_one_row(self, monkeypatch, kind, names):
         g = parse_trace(generate_trace("phase-transition", 7, nodes=20)).graph
-        held = []
-        search = _SEARCHES[kind]
-
-        def holding(g, *args):
-            held.append(sum(map(len, g._rows.values())))
-            return search(g, *args)
-
-        monkeypatch.setitem(_SEARCHES, kind, holding)
+        held = rows_held(monkeypatch)
         evolve_many(g, WindowSpec(10), names, kind=kind)
         assert held and max(held) <= 1

@@ -30,7 +30,7 @@ from tvgkit.temporal_metrics import (
 from tvgkit.windows import (
     WindowSpec,
     _reduce,
-    _window_closeness,
+    _window_temporal,
     evolve,
     evolve_many,
     windows_of,
@@ -245,8 +245,10 @@ class TestTimelineBuilds:
 
     CASES = {
         "betweenness": lambda g: temporal_betweenness_all(g, 0, "fastest"),
-        "closeness": lambda g: _window_closeness(g, 0, "fastest", "mean", False),
-        "strict closeness": lambda g: _window_closeness(g, 0, "fastest", "mean", True),
+        "closeness": lambda g: _window_temporal(g, 0, ["closeness"], "fastest", "mean", False),
+        "strict closeness": lambda g: _window_temporal(
+            g, 0, ["closeness"], "fastest", "mean", True
+        ),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
