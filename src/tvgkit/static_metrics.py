@@ -12,13 +12,13 @@ Conventions worth knowing:
   ``Footprint.links``): the windowed sweep keeps both up to date as edges
   enter and leave the window; a footprint built on its own counts the links
   once from its neighbour bitmasks, visiting each undirected edge once.
-* ``average_modularity`` adds the pair terms left to right in
-  ``itertools.combinations`` order, and ``powerlaw_exponent`` its log terms
-  in degree order, so their floats do not depend on the interpreter
-  (``sum()`` of floats is compensated from Python 3.12 on).
+* Every mean is correctly rounded, so it does not depend on the order of
+  its terms, and so not on node ids or the interpreter:
+  ``average_clustering`` and ``powerlaw_exponent`` add their terms with
+  ``math.fsum``, and ``average_modularity`` is one integer over another.
 * Values undefined on a given footprint come back as NaN, never an error.
-* ``average_modularity`` and the spectral sweep of ``graph_conductance``
-  (past ``EXACT_CONDUCTANCE_LIMIT`` nodes) import numpy on first use; the
+* Only the spectral sweep of ``graph_conductance`` (past
+  ``EXACT_CONDUCTANCE_LIMIT`` nodes) imports numpy, on first use; the
   other indicators, and importing this module, do not.
 """
 
@@ -28,17 +28,12 @@ import math
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .core import Footprint
 
 #: exhaustive cut enumeration is capped at this node count (2^19 cuts)
 EXACT_CONDUCTANCE_LIMIT = 20
-
-#: pair terms per block in ``average_modularity``: bounds its memory, not its value
-_PAIR_BLOCK = 1 << 16
 
 
 class LimitExceededError(ValueError):
@@ -76,12 +71,8 @@ def average_clustering(f: Footprint) -> float:
     if f.num_nodes == 0:
         return math.nan
     deg, links = f.degrees(), f.links()
-    total = 0.0
-    for x in f.nodes:
-        k = deg[x]
-        if k > 1:
-            total += _clustering(k, links[x])
-    return total / f.num_nodes
+    terms = (_clustering(deg[x], links[x]) for x in f.nodes if deg[x] > 1)
+    return math.fsum(terms) / f.num_nodes
 
 
 def pair_modularity(f: Footprint, u: int, v: int) -> float:
@@ -94,27 +85,17 @@ def pair_modularity(f: Footprint, u: int, v: int) -> float:
 
 
 def average_modularity(f: Footprint) -> float:
-    """Mean pair modularity over unordered node pairs."""
-    import numpy as np
+    """Mean pair modularity over unordered node pairs.
 
-    d = np.array(degree_sequence(f))
-    two_m = int(d.sum())  # twice the undirected edge count
+    The pairs' ``deg(u) * deg(v)`` add up to ``((sum d)^2 - sum d^2) / 2``,
+    so the mean is one integer over another, a correctly rounded division.
+    """
+    d = degree_sequence(f)
+    two_m = sum(d)  # twice the undirected edge count
     n = f.num_nodes
     if n < 2 or two_m == 0:
         return math.nan
-    # the terms of pair_modularity in combinations order, summed left to
-    # right a block of rows at a time; the running total enters each block's
-    # first term, so the additions are the same and in the same order
-    rows = max(1, _PAIR_BLOCK // n)
-    total = 0.0
-    for s in range(0, n - 1, rows):
-        # entry (a, b) is the pair (s + a, s + 1 + b), a pair when b >= a
-        block = d[s : s + rows, None] * d[None, s + 1 :] / two_m
-        upper = np.arange(block.shape[1]) >= np.arange(block.shape[0])[:, None]
-        terms = block[upper]
-        terms[0] += total
-        total = np.add.accumulate(terms, out=terms)[-1]
-    return float(total) / (n * (n - 1) // 2)
+    return (two_m * two_m - sum(k * k for k in d)) // 2 / (two_m * (n * (n - 1) // 2))
 
 
 def powerlaw_exponent(degrees: Sequence[int], k_min: int = 1) -> float:
@@ -137,8 +118,7 @@ def powerlaw_exponent(degrees: Sequence[int], k_min: int = 1) -> float:
             stacklevel=2,
         )
         return math.nan
-    s = reduce(add, (math.log(k / (k_min - 0.5)) for k in ks), 0.0)
-    return 1.0 + len(ks) / s
+    return 1.0 + len(ks) / math.fsum(math.log(k / (k_min - 0.5)) for k in ks)
 
 
 def cut_conductance(f: Footprint, side: Iterable[int]) -> float:

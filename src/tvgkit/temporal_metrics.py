@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .core import TimeVaryingGraph, _check_node
+from .core import TimeVaryingGraph
 from .journeys import _check_query, distance_map, minimal_route_counts
 
 
@@ -47,33 +47,52 @@ def temporal_betweenness_all(
     fraction of minimal routes from u to v (walks of at most n-1 hops, see
     ``minimal_route_counts``) that use q as an interior node; a route
     counts once for q however often it passes q.  One route-count pass
-    per source serves every q.
+    per source serves every q.  Each entry is the correctly rounded sum of
+    its terms, so the order of the sources and targets cannot move it.
     """
     _check_query(g, kind, t)
-    total = [0.0] * g.n
+    partials: list[list[float]] = [[] for _ in range(g.n)]
     for u in range(g.n):
-        _add_shares(total, g, u, t, kind, strict)
-    return total
+        _add_shares(partials, g, u, t, kind, strict)
+    return [math.fsum(p) for p in partials]
 
 
 def _add_shares(
-    total: list[float], g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool
+    partials: list[list[float]], g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool
 ) -> None:
-    """Add to ``total[q]`` source ``u``'s terms of q's temporal betweenness
-    (see ``temporal_betweenness_all``), target by target."""
+    """Add source ``u``'s nonzero terms of q's temporal betweenness (see
+    ``temporal_betweenness_all``) to ``partials[q]``, q's running sum kept
+    exact as Shewchuk's non-overlapping partials (those of ``math.fsum``,
+    which rounds them once at the end)."""
     for v, (_, c, through) in minimal_route_counts(g, u, t, kind, strict).items():
         if v == u:
             continue
         for q, cq in enumerate(through):
-            if q != u and q != v:
-                total[q] += cq / c
+            if cq and q != u and q != v:
+                _add_exactly(partials[q], cq / c)
+
+
+def _add_exactly(partials: list[float], x: float) -> None:
+    """Add ``x`` to the partials without rounding: each two-sum keeps its
+    rounding error as the next partial."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 def temporal_betweenness(
     g: TimeVaryingGraph, q: int, t: int, kind: str, strict: bool = False
 ) -> float:
     """Temporal betweenness of ``q``: entry q of ``temporal_betweenness_all``."""
-    _check_node(g, q)
+    _check_query(g, kind, t, q)
     return temporal_betweenness_all(g, t, kind, strict)[q]
 
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import chain, compress
-from operator import add
 from typing import Iterator, Optional, Sequence
 
 from . import static_metrics as sm
@@ -227,11 +225,11 @@ def _reduce(values: list[float], reducer: str) -> float:
         return math.inf
     if reducer == "max":
         return max(finite)
-    # left to right: ``sum()`` of floats is compensated from Python 3.12 on
-    mean = reduce(add, finite, 0.0) / len(finite)
+    # correctly rounded sums: the values' order, and so node ids, cannot move them
+    mean = math.fsum(finite) / len(finite)
     if reducer == "mean":
         return mean
-    return math.sqrt(reduce(add, ((v - mean) ** 2 for v in finite), 0.0) / len(finite))
+    return math.sqrt(math.fsum((v - mean) ** 2 for v in finite) / len(finite))
 
 
 def _window_temporal(g, t, names, kind, reducer, strict) -> dict[str, float]:
@@ -246,7 +244,7 @@ def _window_temporal(g, t, names, kind, reducer, strict) -> dict[str, float]:
     """
     ecc: list[float] = []
     close: list[float] = []
-    shares = [0.0] * g.n
+    shares: list[list[float]] = [[] for _ in range(g.n)]
     for u in range(g.n):
         # without eccentricity, a diameter needs none past an unbounded one
         if "eccentricity" in names or (
@@ -261,7 +259,7 @@ def _window_temporal(g, t, names, kind, reducer, strict) -> dict[str, float]:
         "diameter": _reduce(ecc, "max") if g.edges else math.nan,
         "eccentricity": _reduce(ecc, reducer),
         "closeness": _reduce(close, reducer),
-        "betweenness": _reduce(shares, reducer),
+        "betweenness": _reduce([math.fsum(p) for p in shares], reducer),
     }
     return {
         name: values[name] if math.isfinite(values[name]) else math.nan

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 from tvgkit.core import Lifetime, TimeVaryingGraph, build_tvg
@@ -284,8 +285,9 @@ def oracle_clustering(footprint):
 
 
 def oracle_modularity(footprint):
-    """Mean of deg(u)*deg(v)/2|E| over unordered node pairs, added one term
-    at a time in ``combinations`` order; NaN below two nodes or without edges."""
+    """Mean of deg(u)*deg(v)/2|E| over unordered node pairs, enumerated and
+    summed exactly as fractions, then rounded once; NaN below two nodes or
+    without edges."""
     edges = _simple_undirected(footprint)
     nodes = footprint.nodes
     if len(nodes) < 2 or not edges:
@@ -294,12 +296,12 @@ def oracle_modularity(footprint):
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    total = 0.0
+    total = 0
     pairs = 0
     for u, v in combinations(nodes, 2):
-        total += deg[u] * deg[v] / (2 * len(edges))
+        total += deg[u] * deg[v]
         pairs += 1
-    return total / pairs
+    return float(Fraction(total, 2 * len(edges) * pairs))
 
 
 def random_tvg(

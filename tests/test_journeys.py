@@ -675,6 +675,9 @@ SEARCH_ARGS = {
     "witness_journey_u": lambda g, k, t, x: witness_journey(g, x, 0, t, k),
     "witness_journey_v": lambda g, k, t, x: witness_journey(g, 0, x, t, k),
     "minimal_route_counts": lambda g, k, t, x: minimal_route_counts(g, x, t, k),
+    "temporal_betweenness": lambda g, k, t, x: temporal_betweenness(g, x, t, k),
+    "eccentricity": lambda g, k, t, x: eccentricity(g, x, t, k),
+    "temporal_closeness": lambda g, k, t, x: temporal_closeness(g, x, t, k),
 }
 
 

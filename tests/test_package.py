@@ -98,7 +98,7 @@ def numpy_imports(node, scope: str, in_function: bool = False) -> Iterator[Optio
 
 def test_numpy_is_imported_only_where_bulk_arithmetic_runs():
     # journey searches ask ``core`` which arcs are present; only the
-    # present-arc table and the static indicators' matrices use numpy, and
+    # present-arc table and the conductance sweep's matrix use numpy, and
     # each imports it on first use, so ``import tvgkit`` does not
     importers = {
         where
@@ -110,7 +110,6 @@ def test_numpy_is_imported_only_where_bulk_arithmetic_runs():
     assert importers == {
         "core._build_interval_table",
         "core.TimeVaryingGraph.arcs_at",
-        "static_metrics.average_modularity",
         "static_metrics._sweep_order",
     }
 
@@ -148,6 +147,16 @@ def pt20(tmp_path_factory) -> str:
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def ur30(tmp_path_factory) -> str:
+    # one window of 10 ticks whose footprint has more than
+    # ``EXACT_CONDUCTANCE_LIMIT`` nodes: conductance takes the spectral sweep
+    path = tmp_path_factory.mktemp("bulk") / "ur30.csv"
+    text = generate_trace("uniform-random", 1, nodes=30, ticks=10, p=0.05)
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
 def evolve(trace: str, indicators: str, *options: str) -> list[str]:
     return ["evolve", trace, "--window", "10", "--indicators", indicators, *options]
 
@@ -169,7 +178,7 @@ def test_cold_start_loads_no_numpy(pt20):
             f"evolve --kind {kind}": evolve(pt20, "closeness,diameter,betweenness", "--kind", kind)
             for kind in KINDS
         },
-        "static evolve": evolve(pt20, "density,avg_clustering,powerlaw"),
+        "static evolve": evolve(pt20, "density,avg_clustering,avg_modularity,powerlaw"),
         "footprint": ["footprint", pt20],
         "generate": ["generate", "uniform-random", "--seed", "1", "--nodes", "20", "--ticks", "40"],
         **{f"query --kind {kind} --at 0": query(pt20, 0, kind) for kind in KINDS},
@@ -179,7 +188,7 @@ def test_cold_start_loads_no_numpy(pt20):
     assert not any(loaded), f"numpy loaded by {list(steps)[loaded.index(True)]}"
 
 
-def test_bulk_arithmetic_loads_numpy(pt20):
+def test_bulk_arithmetic_loads_numpy(pt20, ur30):
     # the gate above would pass vacuously if no path loaded numpy at all
-    assert numpy_loaded_after(evolve(pt20, "avg_modularity")) == [False, True]
+    assert numpy_loaded_after(evolve(ur30, "conductance")) == [False, True]
     assert numpy_loaded_after(query(pt20, 5, "fastest")) == [False, True]

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -323,11 +324,12 @@ class TestRouteMoveTables:
 
 
 class TestReduce:
-    def test_sums_left_to_right(self):
-        # a compensated sum (Python >= 3.12 ``sum``, ``math.fsum``) gives 1/3
-        values = [1e16, 1.0, -1e16]
-        assert math.fsum(values) / 3 != 0.0
-        assert _reduce(values, "mean") == 0.0
+    def test_any_order_gives_the_fsum(self):
+        # left to right, 1e16 + 1.0 - 1e16 is 0.0
+        for values in permutations([1e16, 1.0, -1e16]):
+            assert _reduce(list(values), "mean") == 1 / 3
+        stds = {_reduce(list(values), "std") for values in permutations([0.1, 0.2, 0.7, 1e16])}
+        assert len(stds) == 1
 
 
 class TestCloseness:
