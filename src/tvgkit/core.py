@@ -69,15 +69,16 @@ class PresenceSet:
         self._starts, self._ends = _union(intervals)
 
     @classmethod
-    def _checked(cls, intervals: list[tuple[int, int]]) -> "PresenceSet":
-        """The union of ``intervals``, each of which the caller has already
-        checked to be non-empty; a single interval needs no sort."""
+    def _checked(cls, bounds: list[int]) -> "PresenceSet":
+        """The union of the intervals ``[a0, b0), [a1, b1), ...`` of the
+        flat list ``bounds = [a0, b0, a1, b1, ...]``, each of which the
+        caller has already checked to be non-empty; a single interval
+        needs no sort."""
         p = cls.__new__(cls)
-        if len(intervals) == 1:
-            ((a, b),) = intervals
-            p._starts, p._ends = (a,), (b,)
+        if len(bounds) == 2:
+            p._starts, p._ends = (bounds[0],), (bounds[1],)
         else:
-            p._starts, p._ends = _union(sorted(intervals))
+            p._starts, p._ends = _union(sorted(zip(bounds[::2], bounds[1::2])))
         return p
 
     @property
@@ -207,8 +208,10 @@ class TimeVaryingGraph:
     What only journey searches read is built on first use and then kept,
     since the graph is immutable: the out- and in-adjacency behind
     :meth:`out_edges` and :meth:`in_edges`, the :meth:`timeline`, the
-    :meth:`arcs_at` table and the route-move table that every route-count
-    pass on the graph shares (see ``journeys.minimal_route_counts``).
+    :meth:`arcs_at` table and, per distance kind, mode and fastest limit,
+    the route-move table that every route-count pass on the graph shares:
+    each state met so far as an int id, with its node, bound, successor
+    ids and fastest's measure (see ``journeys._MoveTable``).
     Searches keep one row too: the latest search's ``(distances,
     records)``, which the next search replaces (see ``journeys._search``).
     A graph that only feeds footprints builds none of them, and graphs
@@ -255,9 +258,10 @@ class TimeVaryingGraph:
         self.presence = tuple(presence)
         self._timeline: Optional[Timeline] = None
         self._intervals: Optional[tuple] = None
-        # (kind, strict, limit) -> {state: the states it moves to}, filled
-        # by ``journeys.minimal_route_counts``
-        self._route_moves: dict[tuple, dict] = {}
+        # (kind, strict, limit) -> ``journeys._MoveTable``: every route-count
+        # state met so far as an int id, with its node, bound, successor ids
+        # and (fastest) measure; filled by ``journeys.minimal_route_counts``
+        self._route_moves: dict[tuple, object] = {}
         # the latest search row, ((source, t, kind, strict), (distances,
         # records)), kept by ``journeys._search``
         self._row: Optional[tuple] = None
@@ -517,7 +521,8 @@ def build_tvg(
     Runs with the cyclic garbage collector paused, and leaves it enabled or
     disabled as it found it, also when it raises.
     """
-    by_edge: dict[tuple[int, int, Optional[str]], list[tuple[int, int]]] = {}
+    # per edge, its intervals as one flat list [a0, b0, a1, b1, ...]
+    by_edge: dict[tuple[int, int, Optional[str]], list[int]] = {}
     for rec in events:
         if len(rec) == 5:
             u, v, a, b, label = rec
@@ -536,18 +541,18 @@ def build_tvg(
             raise ValueError(f"event outside lifetime in event {rec!r}")
         if not directed and u > v:
             u, v = v, u
-        ivals = by_edge.get((u, v, label))
-        if ivals is None:
-            by_edge[u, v, label] = [(a, b)]
+        bounds = by_edge.get((u, v, label))
+        if bounds is None:
+            by_edge[u, v, label] = [a, b]
         else:
-            ivals.append((a, b))
+            bounds += (a, b)
     edges = []
     presence = []
-    for (u, v, label), ivals in sorted(
+    for (u, v, label), bounds in sorted(
         by_edge.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2] or "")
     ):
         edges.append(Edge(u, v, label))
-        presence.append(PresenceSet._checked(ivals))
+        presence.append(PresenceSet._checked(bounds))
     return TimeVaryingGraph._trusted(n, directed, lifetime, edges, presence)
 
 

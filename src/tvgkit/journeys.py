@@ -31,7 +31,15 @@ early.
 The route-count passes on one graph share their successors: the states
 that a ``(node, bound)`` state moves to are computed once per graph, kind,
 mode and (fastest) duration limit, and kept on the graph for every later
-source and hop.
+source and hop (``_MoveTable``).  The table gives each state an int id
+the first time it is met, so a pass keys its layers by id rather than by
+state, and it computes fastest's measure of a state once.
+A pass packs each state's through-vector into one int with a slot of W
+bits per node: entering a node sets its slot with one shift, subtract and
+add, and merging two states is one addition.  No slot exceeds its
+state's route count, so while every count stays below 2^(W-1) no sum
+carries into the next slot; a pass starts at W = 64 and, the first time
+a count reaches 2^(W-1), starts again with 2W.
 """
 
 from __future__ import annotations
@@ -39,8 +47,8 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import struct
 from itertools import chain, islice
-from operator import add
 from typing import Iterable, Optional
 
 from .core import TimeVaryingGraph, _check_node, _check_time
@@ -399,6 +407,69 @@ def _moves(g: TimeVaryingGraph, key: tuple, kind: str, strict: bool, limit) -> t
     return tuple(out)
 
 
+class _MoveTable:
+    """One graph's route-move table for one ``(kind, strict, limit)``.
+
+    Every ``(node, bound)`` state gets an int id the first time a pass
+    meets it (``ids``).  Per id the table holds the state's node, its
+    bound, the ids of the states it moves to (None until a pass first
+    leaves it; foremost's ascend in bound) and, for fastest, its measure:
+    the least ``bound - departure`` over its Pareto pairs (None at the
+    start state, which has not departed, and for the other kinds).
+    """
+
+    __slots__ = ("kind", "strict", "limit", "ids", "node", "bound", "succ", "measure", "_words")
+
+    def __init__(self, n: int, kind: str, strict: bool, limit):
+        self.kind, self.strict, self.limit = kind, strict, limit
+        self._words = struct.Struct(f"<{n}Q")
+        self.ids: dict[tuple, int] = {}
+        self.node: list[int] = []
+        self.bound: list = []
+        self.succ: list[Optional[tuple[int, ...]]] = []
+        self.measure: list[Optional[int]] = []
+
+    def intern(self, keys: Iterable[tuple]) -> list[int]:
+        """The ids of the states ``keys``, each ``(node, bound)``; a new
+        state is added."""
+        ids, fastest, late = self.ids, self.kind == "fastest", int(self.strict)
+        out = []
+        for key in keys:
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(self.node)
+                x, bound = key
+                self.node.append(x)
+                self.bound.append(bound)
+                self.succ.append(None)
+                self.measure.append(
+                    min(r - late - dep for dep, r in bound)
+                    if fastest and bound[0][0] is not None
+                    else None
+                )
+            out.append(i)
+        return out
+
+    def moves(self, g: TimeVaryingGraph, i: int) -> tuple[int, ...]:
+        """The ids of the states that state ``i`` moves to (see ``_moves``),
+        computed on first use."""
+        key = (self.node[i], self.bound[i])
+        out = self.intern(_moves(g, key, self.kind, self.strict, self.limit))
+        if self.kind == "foremost":
+            out.sort(key=self.bound.__getitem__)
+        self.succ[i] = out = tuple(out)
+        return out
+
+    def unpack(self, packed: int, width: int) -> tuple[int, ...]:
+        """The n slots of ``width`` bits of ``packed``, lowest first: at 64
+        bits one conversion to bytes and back, above it one shift per slot."""
+        words = self._words
+        if width == 64:
+            return words.unpack(packed.to_bytes(words.size, "little"))
+        mask = (1 << width) - 1
+        return tuple((packed >> (width * q)) & mask for q in range(words.size // 8))
+
+
 def minimal_route_counts(
     g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool = False
 ) -> dict[int, tuple[int, int, tuple[int, ...]]]:
@@ -423,18 +494,17 @@ def minimal_route_counts(
     Pareto set of its ``(departure, bound)`` pairs and drops pairs longer
     than the largest fastest distance.
 
-    The passes on one graph share its route-move table: the states a
-    state moves to (``_moves``) depend on the kind, the strictness and
-    fastest's limit, not on the hop or the source.  Foremost's latest
-    crossing and shortest's earlier hops filter what the table returns.
-    That crossing and fastest's limit are read from u's row (see
-    ``_search``).
+    The passes on one graph share its route-move table (``_MoveTable``):
+    the states a state moves to (``_moves``) depend on the kind, the
+    strictness and fastest's limit, not on the hop or the source.
+    Foremost's latest crossing and shortest's earlier hops filter what the
+    table returns.  That crossing and fastest's limit are read from u's row
+    (see ``_search``).
     """
     _check_query(g, kind, t, u)
     n = g.n
     start = t
-    reached = {u: t}  # shortest: least bound per node over earlier hops
-    limit = None  # fastest: no minimal route lasts longer
+    horizon = best = limit = None
     if kind != "shortest":
         # no minimal route is longer than the largest distance
         best = _search(g, u, t, kind, strict)[0]
@@ -447,56 +517,96 @@ def minimal_route_counts(
         # edge) or last ticks (leaving just before one closes); strict ordering
         # forces one tick per hop, so each also shifts earlier by up to n - 1
         start = tuple((None, s) for s in _critical_ticks(g, t, n - 1 if strict else 0, 0))
+    table = g._route_moves.get((kind, strict, limit))
+    if table is None:
+        table = g._route_moves[kind, strict, limit] = _MoveTable(n, kind, strict, limit)
+    (first,) = table.intern([(u, start)])
+    width = 64
+    while (totals := _count_routes(g, table, first, t, best, horizon, width)) is None:
+        width *= 2
+    out = {u: (0, 1, (0,) * n)}
+    out.update((v, (m, c, table.unpack(thr, width))) for v, (m, c, thr) in totals.items())
+    return out
 
-    moves = g._route_moves.setdefault((kind, strict, limit), {})
-    layer = {(u, start): (1, [0] * n)}
+
+def _count_routes(
+    g: TimeVaryingGraph,
+    table: _MoveTable,
+    first: int,
+    t: int,
+    best: Optional[dict[int, int]],
+    horizon: Optional[int],
+    width: int,
+) -> Optional[dict[int, list]]:
+    """The pass of ``minimal_route_counts`` from state ``first``: per target
+    ``[distance, routes, through]``, with ``through`` packed in one int,
+    ``width`` bits per node (see ``_MoveTable.unpack``); None once a count
+    reaches ``2 ** (width - 1)``.
+
+    No slot of a through-vector exceeds its state's route count.  Every
+    sum adds two counts below ``2 ** (width - 1)``, so no slot of the
+    summed vectors reaches ``2 ** width`` and nothing carries into the
+    next slot.
+    """
+    node, bound, succ, measure = table.node, table.bound, table.succ, table.measure
+    n, u = g.n, node[first]
+    cap, low = 1 << (width - 1), (1 << width) - 1
+    kind, late = table.kind, int(table.strict)
+    foremost, shortest = kind == "foremost", kind == "shortest"
+    reached = {u: t}  # shortest: least bound per node over earlier hops
+    layer = {first: (1, 0)}
     totals: dict[int, list] = {}
     for h in range(1, n):
-        nxt: dict[tuple, tuple[int, list[int]]] = {}
-        for key, (c, thr) in layer.items():
-            x = key[0]
-            if x != u:
-                thr = thr.copy()
-                thr[x] = c
-            succ = moves.get(key)
-            if succ is None:
-                succ = moves[key] = _moves(g, key, kind, strict, limit)
-            for dst in succ:
-                if kind == "foremost" and dst[1] > horizon:
+        nxt: dict[int, tuple[int, int]] = {}
+        for i, (c, thr) in layer.items():
+            x = node[i]
+            if x != u:  # every route of the state leaves x: slot x becomes c
+                at = width * x
+                thr += (c - ((thr >> at) & low)) << at
+            moves = succ[i]
+            if moves is None:
+                moves = table.moves(g, i)
+            for j in moves:
+                if foremost and bound[j] > horizon:
+                    break
+                if shortest and reached.get(node[j], math.inf) <= bound[j]:
                     continue
-                if kind == "shortest" and reached.get(dst[0], math.inf) <= dst[1]:
-                    continue
-                acc = nxt.get(dst)
+                acc = nxt.get(j)
                 if acc is None:
-                    nxt[dst] = (c, thr)
+                    nxt[j] = (c, thr)
                 else:
-                    nxt[dst] = (acc[0] + c, list(map(add, acc[1], thr)))
-        for (y, state), (c, thr) in nxt.items():
+                    total = acc[0] + c
+                    if total >= cap:
+                        return None
+                    nxt[j] = (total, acc[1] + thr)
+        for j, (c, thr) in nxt.items():
+            y = node[j]
             if y == u:
                 continue  # the empty route is the only minimal route to the source
-            if kind == "shortest":
+            if shortest:
                 if y in reached:
                     continue
                 m = h
-            elif kind == "foremost":
-                m = (state - 1 if strict else state) - t
+            elif foremost:
+                m = bound[j] - late - t
                 if m != best[y]:
                     continue
             else:
-                m = min((r - 1 if strict else r) - dep for dep, r in state)
+                m = measure[j]
             acc = totals.get(y)
             if acc is None or m < acc[0]:
                 totals[y] = [m, c, thr]
             elif m == acc[0]:
                 acc[1] += c
-                acc[2] = list(map(add, acc[2], thr))
-        if kind == "shortest":
-            for y, r in nxt:
+                if acc[1] >= cap:
+                    return None
+                acc[2] += thr
+        if shortest:
+            for j in nxt:
+                y, r = node[j], bound[j]
                 if y not in reached or r < reached[y]:
                     reached[y] = r
         layer = nxt
         if not layer:
             break
-    out = {u: (0, 1, (0,) * n)}
-    out.update((v, (m, c, tuple(thr))) for v, (m, c, thr) in totals.items())
-    return out
+    return totals

@@ -65,7 +65,13 @@ def parse_trace(
     reader = csv.reader(source)
     header = None
     ids: dict[str, int] = {}  # in order of first appearance
-    events: list[tuple] = []
+    ticks: dict[int, int] = {}  # one int object per distinct tick
+    # the valid records, one column each
+    us: list[int] = []
+    vs: list[int] = []
+    starts: list[int] = []
+    ends: list[int] = []
+    labels: list[Optional[str]] = []
     first, last = math.inf, -math.inf  # the hull of the intervals read
     skipped: list[tuple[int, str]] = []
 
@@ -118,9 +124,11 @@ def parse_trace(
             if u_name == v_name:
                 bad(line_no, f"self-loop on {u_name!r}")
                 continue
-            u = ids.setdefault(u_name, len(ids))
-            v = ids.setdefault(v_name, len(ids))
-            events.append((u, v, start, end, label))
+            us.append(ids.setdefault(u_name, len(ids)))
+            vs.append(ids.setdefault(v_name, len(ids)))
+            starts.append(ticks.setdefault(start, start))
+            ends.append(ticks.setdefault(end, end))
+            labels.append(label)
             if start < first:
                 first = start
             if end > last:
@@ -130,8 +138,9 @@ def parse_trace(
 
     if header is None:
         raise TraceFormatError(0, "empty input")
-    if not events:
+    if not us:
         raise TraceFormatError(0, "no valid records")
+    events = zip(us, vs, starts, ends, labels)
     graph = build_tvg(len(ids), directed, Lifetime(first, last), events)
     return ParseResult(graph, list(ids), skipped)
 

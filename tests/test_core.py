@@ -90,8 +90,8 @@ class TestPresenceSet:
     @pytest.mark.parametrize(
         "built,intervals",
         [
-            (lambda: PresenceSet._checked([(2, 5)]), [(2, 5)]),
-            (lambda: PresenceSet._checked([(6, 9), (0, 2), (5, 7)]), [(0, 2), (5, 9)]),
+            (lambda: PresenceSet._checked([2, 5]), [(2, 5)]),
+            (lambda: PresenceSet._checked([6, 9, 0, 2, 5, 7]), [(0, 2), (5, 9)]),
             (lambda: PresenceSet([(0, 4), (6, 12)]).clip(2, 8), [(2, 4), (6, 8)]),
             (lambda: PresenceSet([(0, 4), (6, 12)]).clip(0, 12), [(0, 4), (6, 12)]),
             (lambda: PresenceSet([(0, 4), (6, 12)]).clip(1, 12), [(1, 4), (6, 12)]),

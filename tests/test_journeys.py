@@ -2,11 +2,12 @@ import math
 import random
 import weakref
 from collections import Counter
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tvgkit import core
+from tvgkit import core, journeys
 from tvgkit.core import (
     Lifetime,
     PresenceSet,
@@ -334,6 +335,52 @@ class TestRouteCounts:
         d, c, through = minimal_route_counts(g, 0, 0, "foremost")[3]
         assert (d, c) == (5, 2)
         assert through == (0, 2, 1, 0, 0)  # the revisiting route adds 1 to node 1, not 2
+
+    def test_counts_past_64_bits_match_matrix_powers(self, monkeypatch):
+        # always-on K_n with k labelled links per pair: every walk of at most
+        # n - 1 hops arrives at once, so every one is a minimal route
+        def clique(n, k):
+            events = [(x, y, 0, 2, str(i)) for x in range(n) for y in range(x) for i in range(k)]
+            return build_tvg(n, False, Lifetime(0, 2), events)
+
+        def walks(n, k, s, avoid=None):
+            # per node, the walks from s of 1 to n - 1 hops that leave no
+            # interior node ``avoid``: one row of the powers of k (J - I)
+            row = [0 if y == s else k for y in range(n)]
+            total = row
+            for _ in range(n - 2):
+                left = sum(c for x, c in enumerate(row) if x != avoid)
+                row = [k * (left - (0 if y == avoid else row[y])) for y in range(n)]
+                total = list(map(add, total, row))
+            return total
+
+        def closed_form(n, k, s):
+            every = walks(n, k, s)
+            avoiding = {q: walks(n, k, s, q) for q in range(n) if q != s}
+            return {s: (0, 1, (0,) * n)} | {
+                v: (0, every[v], tuple(every[v] - avoiding[q][v] if q != s else 0 for q in range(n)))
+                for v in range(n)
+                if v != s
+            }
+
+        widths = []
+
+        def recording(*args):
+            widths.append(args[-1])
+            return count_routes(*args)
+
+        count_routes = journeys._count_routes
+        monkeypatch.setattr(journeys, "_count_routes", recording)
+        small = clique(4, 2)
+        for kind in ("foremost", "fastest"):
+            assert closed_form(4, 2, 1) == oracle_route_through(small, 1, 0, kind)
+            del widths[:]
+            got = minimal_route_counts(clique(10, 100), 3, 0, kind)
+            assert got == closed_form(10, 100, 3)
+            # counts near 2 ** 85 overflow 64-bit slots: the pass ran again
+            # with 128-bit ones
+            assert max(c for _, c, _ in got.values()) > 2**84
+            assert widths == [64, 128]
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_one_move_table_serves_every_caller_exactly(self, directed):

@@ -206,6 +206,37 @@ class TestBetweenness:
             for q in range(g.n):
                 assert temporal_betweenness(g, q, t, kind, strict) == got[q]
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        shape=st.sampled_from(["always-on", "undirected", "directed"]),
+        strict=st.booleans(),
+        data=st.data(),
+    )
+    def test_relabelling_permutes_every_value_bitwise(self, seed, shape, strict, data):
+        rng = random.Random(seed)
+        if shape == "always-on":
+            g = random_always_on_tvg(rng, n_max=7)
+        else:
+            g = random_tvg(rng, n_max=6, e_max=9, horizon=10, directed=shape == "directed")
+        events = [
+            (e.u, e.v, a, b, e.label) for e, p in zip(g.edges, g.presence) for a, b in p.intervals
+        ]
+        # labelled parallel copies of some links, always-on if the graph is
+        life = g.lifetime
+        for e in rng.sample(g.edges, rng.randint(1, len(g.edges))):
+            a = life.start if shape == "always-on" else rng.randrange(life.start, life.end)
+            b = life.end if shape == "always-on" else rng.randint(a + 1, life.end)
+            events.append((e.u, e.v, a, b, "alt"))
+        g = build_tvg(g.n, g.directed, life, events)
+        perm = data.draw(st.permutations(range(g.n)))
+        h = build_tvg(g.n, g.directed, life, [(perm[u], perm[v], *rest) for u, v, *rest in events])
+        t = data.draw(st.integers(life.start, life.end - 1))
+        for kind in KINDS:
+            before = temporal_betweenness_all(g, t, kind, strict)
+            after = temporal_betweenness_all(h, t, kind, strict)
+            assert [after[perm[x]].hex() for x in range(g.n)] == [b.hex() for b in before]
+
     def test_one_route_count_pass_per_active_node_per_window(self, monkeypatch):
         sources = []
 
