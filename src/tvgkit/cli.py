@@ -18,7 +18,7 @@ from typing import Optional
 
 from . import synth, trace_io, windows
 from .core import footprint
-from .journeys import KINDS, witness_journey
+from .journeys import KINDS, distance_map, witness_journey
 from .static_metrics import LimitExceededError
 from .trace_io import TraceFormatError
 
@@ -188,17 +188,6 @@ def cmd_evolve(args) -> int:
     return EXIT_OK
 
 
-def _journey_measure(steps, t: int, kind: str) -> int:
-    """The ``kind`` distance a witness journey departing at or after ``t`` achieves."""
-    if not steps:
-        return 0
-    if kind == "shortest":
-        return len(steps)
-    if kind == "foremost":
-        return steps[-1][1] - t
-    return steps[-1][1] - steps[0][1]
-
-
 def cmd_query(args) -> int:
     result = _read_trace(args)
     ids = result.name_to_id
@@ -212,11 +201,12 @@ def cmd_query(args) -> int:
         raise DataError(
             f"time {t} outside lifetime [{g.lifetime.start},{g.lifetime.end})"
         )
+    # the witness's search leaves u's row, which the distance reads
     steps = witness_journey(g, u, v, t, args.kind)
     if steps is None:
         print("unreachable")
         return EXIT_OK
-    print(_journey_measure(steps, t, args.kind))
+    print(distance_map(g, u, t, args.kind)[v])
     print(
         " ".join(
             f"({result.names[g.edges[ei].u]},{result.names[g.edges[ei].v]})@{tc}"

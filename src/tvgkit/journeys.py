@@ -22,11 +22,10 @@ these two as the source's row.  A graph keeps one row, its latest (see
 time, kind and mode run one search, and the row takes the memory of one
 search.  A window's indicators walk its sources once and read each row
 before the next search (see ``windows.evolve_many``), so they too run one
-search per source.  A distance search stops once every node is settled.
-A shortest or foremost witness reads its source's row when the graph
-holds it; otherwise, as ``tvgkit query`` runs it, its search stops once
-the target is settled and keeps nothing.  The fastest pass cannot stop
-early.
+search per source.  A witness reads its source's row; a witness asked
+alone runs the full search and keeps it, so ``tvgkit query`` runs one
+search for the witness and the distance it prints.  A shortest or
+foremost search stops once every node is settled.
 
 The route-count passes on one graph share their successors: the states
 that a ``(node, bound)`` state moves to are computed once per graph, kind,
@@ -100,15 +99,12 @@ def is_journey(g: TimeVaryingGraph, steps: Iterable[Step], strict: bool = False)
     return True
 
 
-def _earliest_arrival(
-    g: TimeVaryingGraph, u: int, t: int, strict: bool = False, target: Optional[int] = None
-):
+def _earliest_arrival(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
     """Earliest-arrival relaxation from ``u`` with first crossing >= ``t``.
 
     Returns (delay, records) where delay[v] is the minimal last-crossing
     time of a journey u->v departing >= t, minus t.  The search stops once
-    every node is settled, or once ``target`` is: then only its entries
-    and those of its witness are final.
+    every node is settled.
     """
     arrival = {u: t}
     ready = {u: t}
@@ -120,7 +116,7 @@ def _earliest_arrival(
         if x in done:
             continue
         done.add(x)
-        if x == target or len(done) == g.n:
+        if len(done) == g.n:
             break
         lb = ready[x]
         for ei, y in g.out_edges(x):
@@ -137,9 +133,7 @@ def _earliest_arrival(
     return {v: a - t for v, a in arrival.items()}, rec
 
 
-def _layered_states(
-    g: TimeVaryingGraph, u: int, t: int, strict: bool = False, target: Optional[int] = None
-):
+def _layered_states(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
     """Hop-by-hop search for the least next-crossing bound at each node.
 
     At hop h a state ``(y, r)`` is dropped when an earlier hop reached y
@@ -147,8 +141,8 @@ def _layered_states(
     So the first hop at which a node enters is its shortest distance.
     Returns (dist, records): dist[x] -> that hop, and records[x] the record
     of x's frontier state at that hop.  The search stops after the hop at
-    which every node, or ``target``, has entered: later hops only add
-    routes longer than any distance read.
+    which every node has entered: later hops only add routes longer than
+    any distance read.
     """
     reached = {u: t}  # least bound per node over the hops so far
     dist = {u: 0}
@@ -170,7 +164,7 @@ def _layered_states(
             if y not in dist:
                 dist[y] = h
                 records[y] = frontier[y][1]
-        if not frontier or target in dist or len(dist) == g.n:
+        if not frontier or len(dist) == g.n:
             break
     return dist, records
 
@@ -262,21 +256,16 @@ _SEARCHES = {
 }
 
 
-def _search(
-    g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool, stored_only: bool = False
-):
+def _search(g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool):
     """``_SEARCHES[kind]``'s ``(distances, records)`` from ``u`` at ``t``.
 
     The graph keeps the result as its one row, so a later read with the
     same source, time, kind and mode runs no search; any other search
-    replaces it.  With ``stored_only`` no search runs and a missing row
-    is None.  Callers read the row and never change it.
+    replaces it.  Callers read the row and never change it.
     """
     key = (u, t, kind, strict)
     if g._row is not None and g._row[0] == key:
         return g._row[1]
-    if stored_only:
-        return None
     row = _SEARCHES[kind](g, u, t, strict)
     g._row = (key, row)
     return row
@@ -322,23 +311,16 @@ def witness_journey(
 ) -> Optional[list[Step]]:
     """One journey achieving the ``kind`` distance from u to v at t, or None.
 
-    Unwinds v's record from the ``kind`` search: shortest from the hop at
-    which v first enters the pruned layers, foremost from v's earliest
-    arrival.  Both read u's row when the graph holds one (see
-    ``_search``); otherwise their search stops once v is settled, which
-    leaves its record as the full search has it, and keeps nothing.
-    Fastest reads u's row, whose pass kept v's record when v first
-    reached its duration, so it departs at the earliest departure of any
-    fastest journey.
+    Unwinds v's record from u's row (see ``_search``): shortest from the
+    hop at which v first enters the pruned layers, foremost from v's
+    earliest arrival, fastest from the tick at which v first reached its
+    duration, so it departs at the earliest departure of any fastest
+    journey.  A witness asked alone runs the full search and keeps it.
     """
     _check_query(g, kind, t, u, v)
     if u == v:
         return []
-    # fastest runs its full pass: a later tick may still shorten v's journey
-    row = _search(g, u, t, kind, strict, stored_only=kind != "fastest")
-    if row is None:
-        row = _SEARCHES[kind](g, u, t, strict, v)
-    records = row[1]
+    records = _search(g, u, t, kind, strict)[1]
     if v not in records:
         return None
     r = records[v]

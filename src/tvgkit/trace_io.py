@@ -4,8 +4,9 @@ Trace format: UTF-8 CSV with LF line endings and header
 ``u,v,start[,end][,label]``.  Timestamps are raw integer ticks; a missing
 end column makes a record a punctual contact ``[start, start+1)``.  A
 record may have fewer fields than the header (at least three), but not
-more.  Node names are arbitrary text, interned to dense integer ids in
-order of first appearance.
+more.  A UTF-8 byte-order mark before the header is dropped.  Node names
+are arbitrary text, interned to dense integer ids in order of first
+appearance.
 """
 
 from __future__ import annotations
@@ -62,7 +63,10 @@ def parse_trace(
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source)
+    lines = iter(source)
+    # U+FEFF is not whitespace, so no strip drops a byte-order mark
+    head = next(lines, "").removeprefix("\ufeff")
+    reader = csv.reader(chain((head,), lines))
     header = None
     ids: dict[str, int] = {}  # in order of first appearance
     ticks: dict[int, int] = {}  # one int object per distinct tick

@@ -23,6 +23,9 @@ b,c,3,7
 a,c,6,9
 """
 
+#: a self-loop on line 3
+BAD_RECORD_TRACE = "u,v,start,end\na,b,0,5\nb,b,1,2\nb,c,3,7\n"
+
 #: a quoted name on line 3 longer than the csv module's field size limit
 LONG_FIELD_TRACE = 'u,v,start,end\na,b,0,2\n"' + "x" * 140_000 + '",c,1,3\nb,c,4,6\n'
 
@@ -129,6 +132,24 @@ class TestParseTrace:
         res = parse_trace("u,v,start,end,label\na,b,1\nb,c,2,4\n")
         assert res.skipped == []
         assert [p.intervals for p in res.graph.presence] == [[(1, 2)], [(2, 4)]]
+
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_byte_order_mark_before_the_header_is_dropped(self, strict):
+        def parsed(text):
+            try:
+                res = parse_trace(text, strict=strict)
+            except TraceFormatError as exc:
+                return str(exc)
+            return res.graph, res.names, res.skipped
+
+        for text in (TRACE, "\n" + TRACE, BAD_RECORD_TRACE):
+            assert parsed("\ufeff" + text) == parsed(text)
+        # the later malformed record keeps its line number
+        bad = parsed("\ufeff" + BAD_RECORD_TRACE)
+        if strict:
+            assert bad == "line 3: self-loop on 'b'"
+        else:
+            assert bad[1:] == (["a", "b", "c"], [(3, "self-loop on 'b'")])
 
     @pytest.mark.parametrize("strict", [True, False])
     def test_over_long_field_reports_its_line(self, strict):
@@ -272,14 +293,24 @@ class TestCli:
             return witness(*args)
 
         monkeypatch.setattr(cli, "witness_journey", counting_witness)
+        runs = []  # the searches, of any kind, each query ran
+        for k, search in list(jr._SEARCHES.items()):
+            def counting_search(*args, k=k, search=search):
+                runs[-1].append(k)
+                return search(*args)
+
+            monkeypatch.setitem(jr._SEARCHES, k, counting_search)
         for (u, v, t), d in expected.items():
             argv = ["query", path, "--from", res.names[u], "--to", res.names[v],
                     "--at", str(t), "--kind", kind]
+            runs.append([])
             assert self.run(*argv) == 0
             first = capsys.readouterr().out.splitlines()[0]
             assert first == ("unreachable" if d is None else str(d))
-        # one witness search per query, reachable or not
+        # one witness per query, reachable or not, and one search, which
+        # the printed distance reads too
         assert len(searches) == len(expected)
+        assert runs == [[kind]] * len(expected)
         assert None in expected.values() and 0 in expected.values()
 
     def test_query_unknown_node_is_data_error(self, trace_file, capsys):
@@ -482,6 +513,20 @@ class TestStdin:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr.startswith(b"tvgkit: data error: cannot read -: ")
+
+    @pytest.mark.parametrize("flags", [[], ["--strict"]], ids=["lenient", "strict"])
+    def test_byte_order_mark_reads_like_the_trace_without_it(self, tmp_path, capsys, flags):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(BAD_RECORD_TRACE, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + BAD_RECORD_TRACE.encode())
+        results = []
+        for path in (plain, marked):
+            code = cli.main(["footprint", str(path), *flags])
+            results.append((code, *capsys.readouterr()))
+        proc = self.tvgkit("footprint", "-", *flags, input=marked.read_bytes())
+        results.append((proc.returncode, proc.stdout.decode(), proc.stderr.decode()))
+        assert results[1] == results[2] == results[0]
+        assert "line 3: self-loop on 'b'" in results[0][2]
 
     def test_stdin_reads_like_the_file(self):
         path = self.ROOT / "tests" / "data" / "contacts.csv"

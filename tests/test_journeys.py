@@ -382,6 +382,38 @@ class TestRouteCounts:
             assert max(c for _, c, _ in got.values()) > 2**84
             assert widths == [64, 128]
 
+    def test_a_summed_total_past_64_bits_restarts_the_pass(self, monkeypatch):
+        # two always-on directed branches from 0 to 1, of 62 and 63 arcs;
+        # every arc but the 63-arc branch's first has a labelled parallel
+        # copy, so each branch has 2 ** 62 routes and no state's count
+        # reaches 2 ** 63, but node 1's total over both branches does
+        short = [0, *range(2, 63), 1]
+        long = [0, *range(63, 125), 1]
+        arcs = [*zip(short, short[1:]), *zip(long, long[1:])]
+        events = [(x, y, 0, 2, None) for x, y in arcs]
+        events += [(x, y, 0, 2, "alt") for x, y in arcs if (x, y) != (0, 63)]
+        g = build_tvg(125, True, Lifetime(0, 2), events)
+        widths = []
+
+        def recording(*args):
+            widths.append(args[-1])
+            return count_routes(*args)
+
+        count_routes = journeys._count_routes
+        monkeypatch.setattr(journeys, "_count_routes", recording)
+        for kind in ("foremost", "fastest"):
+            del widths[:]
+            d, c, through = minimal_route_counts(g, 0, 0, kind)[1]
+            assert (d, c) == (0, 2**63)
+            assert through == (0, 0, *[2**62] * 123)
+            assert widths == [64, 128]
+        # only the 62-arc branch is minimal in hops
+        del widths[:]
+        d, c, through = minimal_route_counts(g, 0, 0, "shortest")[1]
+        assert (d, c) == (62, 2**62)
+        assert through == (0, 0, *[2**62] * 61, *[0] * 62)
+        assert widths == [64]
+
     @pytest.mark.parametrize("directed", [False, True])
     def test_one_move_table_serves_every_caller_exactly(self, directed):
         # passes for every source, start, kind and mode, interleaved on one
@@ -536,8 +568,8 @@ class TestWitness:
     def test_witness_search_stops_without_changing_the_witness(
         self, seed, directed, strict, kind
     ):
-        # a witness search stops once its target is settled; the full
-        # search's records must give the same journey
+        # a witness unwinds its source's row; it must give the journey the
+        # full search's records give
         rng = random.Random(seed)
         g = random_tvg(rng, n_max=7, e_max=12, horizon=10, directed=directed)
         g = with_labelled_parallels(rng, g)
@@ -594,32 +626,57 @@ class TestFastestFlood:
             assert (steps[-1][1] - steps[0][1], steps[0][1]) == expect[v]
 
 
+@pytest.fixture
+def queried(monkeypatch):
+    """Patch ``PresenceSet.next_at_or_after`` to record the presence set of
+    each call, and return the record."""
+    calls = []
+    next_at_or_after = PresenceSet.next_at_or_after
+
+    def counting(p, t):
+        calls.append(p)
+        return next_at_or_after(p, t)
+
+    monkeypatch.setattr(PresenceSet, "next_at_or_after", counting)
+    return calls
+
+
+def path(n):
+    """The always-present undirected path 0 - 1 - ... - n-1."""
+    return tvg([(i, i + 1, 0, 10) for i in range(n - 1)], n=n)
+
+
+def check_witness_alone_keeps_its_row(monkeypatch, queried, kind):
+    """A ``kind`` witness asked alone on a 30-node path keeps its key's
+    row, queries presence sets within the linear bound of a distance map
+    (``test_shortest_on_path_is_linear``), and the next witness and
+    distance map from its source run no search and query no presence
+    set."""
+    n = 30
+    expect = [witness_journey(path(n), 0, n - 1, 0, kind), distance_map(path(n), 0, 0, kind)]
+    g = path(n)
+    calls = count_searches(monkeypatch)
+    del queried[:]
+    assert witness_journey(g, 0, 1, 0, kind) == [(0, 0)]
+    assert len(queried) <= 2 * (n - 1)
+    assert calls == [(g, 0, 0, kind, False)]
+    del calls[:], queried[:]
+    assert [witness_journey(g, 0, n - 1, 0, kind), distance_map(g, 0, 0, kind)] == expect
+    assert calls == [] and queried == []
+    assert g._row == ((0, 0, kind, False), _SEARCHES[kind](path(n), 0, 0, False))
+
+
 class TestSearchWork:
     """Presence-query counts (not timings) of the pruned searches."""
 
-    @pytest.fixture
-    def queried(self, monkeypatch):
-        calls = []
-        next_at_or_after = PresenceSet.next_at_or_after
-
-        def counting(p, t):
-            calls.append(p)
-            return next_at_or_after(p, t)
-
-        monkeypatch.setattr(PresenceSet, "next_at_or_after", counting)
-        return calls
-
     def test_shortest_on_path_is_linear(self, queried):
         n = 30
-        g = tvg([(i, i + 1, 0, 10) for i in range(n - 1)], n=n)
+        g = path(n)
         assert distance_map(g, 0, 0, "shortest") == {i: i for i in range(n)}
         assert len(queried) <= 2 * (n - 1)
 
-    def test_shortest_witness_stops_at_its_target(self, queried):
-        n = 30
-        g = tvg([(i, i + 1, 0, 10) for i in range(n - 1)], n=n)
-        assert witness_journey(g, 0, 1, 0, "shortest") == [(0, 0)]
-        assert len(queried) <= 2
+    def test_shortest_witness_alone_keeps_its_row(self, monkeypatch, queried):
+        check_witness_alone_keeps_its_row(monkeypatch, queried, "shortest")
 
     def test_shortest_stops_once_every_node_has_its_hop(self, queried):
         # every node enters at hop 1, but 1-2 still lowers node 2's bound
@@ -628,11 +685,8 @@ class TestSearchWork:
         assert distance_map(g, 0, 0, "shortest") == {0: 0, 1: 1, 2: 1}
         assert len(queried) == len(g.out_edges(0))
 
-    def test_foremost_witness_expands_only_until_its_target(self, queried):
-        # node 1 is settled first; expanding it would query 1-2
-        g = tvg([(0, 1, 0, 10), (0, 2, 5, 10), (1, 2, 0, 10), (2, 3, 0, 10)], n=4)
-        assert witness_journey(g, 0, 1, 0, "foremost") == [(0, 0)]
-        assert len(queried) == len(g.out_edges(0))
+    def test_foremost_witness_alone_keeps_its_row(self, monkeypatch, queried):
+        check_witness_alone_keeps_its_row(monkeypatch, queried, "foremost")
 
     def test_temporal_view_stops_once_its_source_is_settled(self, monkeypatch):
         calls = []
@@ -751,9 +805,9 @@ def count_searches(monkeypatch) -> list:
     strict)`` per run, and return the record."""
     calls = []
     for kind, search in list(_SEARCHES.items()):
-        def counting(g, u, t, strict, *target, kind=kind, search=search):
+        def counting(g, u, t, strict, kind=kind, search=search):
             calls.append((g, u, t, kind, strict))
-            return search(g, u, t, strict, *target)
+            return search(g, u, t, strict)
 
         monkeypatch.setitem(_SEARCHES, kind, counting)
     return calls
@@ -847,15 +901,19 @@ class TestSearchRows:
                     # the distance and its witnesses ran one search
                     assert calls == [(g, u, t, kind, strict)]
 
-    def test_a_witness_alone_keeps_nothing(self):
+    def test_a_witness_alone_keeps_its_row(self, monkeypatch, queried):
         g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
         direct = g.edges.index(core.Edge(0, 3))
-        assert witness_journey(g, 0, 3, 0, "shortest") == [(direct, 6)]
-        assert witness_journey(g, 0, 3, 0, "foremost") == [(0, 0), (2, 2), (3, 4)]
-        assert g._row is None
-        # a fastest witness reads the source's full pass, which it keeps
-        witness_journey(g, 0, 3, 0, "fastest")
-        assert g._row[0] == (0, 0, "fastest", False)
+        expect = {
+            "shortest": [(direct, 6)],
+            "foremost": [(0, 0), (2, 2), (3, 4)],
+            "fastest": [(direct, 6)],
+        }
+        # every kind's witness reads the source's full search, which it keeps
+        for kind in KINDS:
+            assert witness_journey(g, 0, 3, 0, kind) == expect[kind]
+            assert g._row[0] == (0, 0, kind, False)
+        check_witness_alone_keeps_its_row(monkeypatch, queried, "fastest")
 
     def test_changing_a_distance_map_changes_no_later_answer(self):
         rng = random.Random(11)

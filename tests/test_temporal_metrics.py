@@ -29,6 +29,8 @@ from tvgkit.temporal_metrics import (
     temporal_closeness,
 )
 from tvgkit.windows import (
+    REDUCERS,
+    TEMPORAL_INDICATORS,
     WindowSpec,
     _reduce,
     _window_temporal,
@@ -236,6 +238,17 @@ class TestBetweenness:
             before = temporal_betweenness_all(g, t, kind, strict)
             after = temporal_betweenness_all(h, t, kind, strict)
             assert [after[perm[x]].hex() for x in range(g.n)] == [b.hex() for b in before]
+            for f in (eccentricity, temporal_closeness):
+                assert [f(h, perm[x], t, kind, strict).hex() for x in range(g.n)] == [
+                    f(g, x, t, kind, strict).hex() for x in range(g.n)
+                ]
+            assert diameter(h, t, kind, strict) == diameter(g, t, kind, strict)
+            for reducer in REDUCERS:
+                values = [
+                    _window_temporal(x, t, TEMPORAL_INDICATORS, kind, reducer, strict)
+                    for x in (g, h)
+                ]
+                assert repr(values[1]) == repr(values[0])
 
     def test_one_route_count_pass_per_active_node_per_window(self, monkeypatch):
         sources = []
