@@ -161,11 +161,13 @@ def cmd_evolve(args) -> int:
     if not names:
         raise UsageError("no indicators requested")
     known = windows.indicator_names()
-    for name in names:
+    for i, name in enumerate(names):
         if name not in known:
             raise UsageError(
                 f"unknown indicator {name!r}; known: {', '.join(known)}"
             )
+        if name in names[:i]:
+            raise UsageError(f"indicator {name!r} requested twice")
     try:
         spec = windows.WindowSpec(args.window, args.stride)
     except ValueError as exc:
@@ -201,12 +203,13 @@ def cmd_query(args) -> int:
         raise DataError(
             f"time {t} outside lifetime [{g.lifetime.start},{g.lifetime.end})"
         )
-    # the witness's search leaves u's row, which the distance reads
+    # the witness's search leaves u's row, which the distance reads; the
+    # empty journey, from u to itself, runs no search and measures 0
     steps = witness_journey(g, u, v, t, args.kind)
     if steps is None:
         print("unreachable")
         return EXIT_OK
-    print(distance_map(g, u, t, args.kind)[v])
+    print(distance_map(g, u, t, args.kind)[v] if steps else 0)
     print(
         " ".join(
             f"({result.names[g.edges[ei].u]},{result.names[g.edges[ei].v]})@{tc}"

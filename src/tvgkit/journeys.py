@@ -29,10 +29,10 @@ foremost search stops once every node is settled.
 
 The route-count passes on one graph share their successors: the states
 that a ``(node, bound)`` state moves to are computed once per graph, kind,
-mode and (fastest) duration limit, and kept on the graph for every later
-source and hop (``_MoveTable``).  The table gives each state an int id
-the first time it is met, so a pass keys its layers by id rather than by
-state, and it computes fastest's measure of a state once.
+mode and (fastest) duration limit by ``_MoveTable.moves``, each kind's
+one successor rule, and kept on the graph for every later source and hop.
+The table gives each state an int id the first time it is met, so a pass
+keys its layers by id, and it computes fastest's measure of a state once.
 A pass packs each state's through-vector into one int with a slot of W
 bits per node: entering a node sets its slot with one shift, subtract and
 add, and merging two states is one addition.  No slot exceeds its
@@ -369,26 +369,6 @@ def _fastest_step(pairs: tuple, p, strict: bool, limit: int) -> tuple:
     return tuple(out)
 
 
-def _moves(g: TimeVaryingGraph, key: tuple, kind: str, strict: bool, limit) -> tuple:
-    """The states that route-count state ``key = (node, bound)`` moves to,
-    one per out-edge it can cross, in edge order: ``(head, next bound)``,
-    where fastest's bound is the Pareto set that ``_fastest_step`` keeps
-    under ``limit``."""
-    x, state = key
-    out = []
-    for ei, y in g.out_edges(x):
-        p = g.presence[ei]
-        if kind == "fastest":
-            new = _fastest_step(state, p, strict, limit)
-            if new:
-                out.append((y, new))
-        else:
-            tp = p.next_at_or_after(state)
-            if tp is not None:
-                out.append((y, tp + 1 if strict else tp))
-    return tuple(out)
-
-
 class _MoveTable:
     """One graph's route-move table for one ``(kind, strict, limit)``.
 
@@ -433,10 +413,23 @@ class _MoveTable:
         return out
 
     def moves(self, g: TimeVaryingGraph, i: int) -> tuple[int, ...]:
-        """The ids of the states that state ``i`` moves to (see ``_moves``),
-        computed on first use."""
-        key = (self.node[i], self.bound[i])
-        out = self.intern(_moves(g, key, self.kind, self.strict, self.limit))
+        """The ids of the states that state ``i`` moves to, computed on
+        first use: per out-edge it can cross, in edge order (foremost's then
+        sorted by bound), the head with the next bound, which for fastest is
+        the Pareto set that ``_fastest_step`` keeps under the limit."""
+        state, fastest = self.bound[i], self.kind == "fastest"
+        out = []
+        for ei, y in g.out_edges(self.node[i]):
+            p = g.presence[ei]
+            if fastest:
+                new = _fastest_step(state, p, self.strict, self.limit)
+                if new:
+                    out.append((y, new))
+            else:
+                tp = p.next_at_or_after(state)
+                if tp is not None:
+                    out.append((y, tp + 1 if self.strict else tp))
+        out = self.intern(out)
         if self.kind == "foremost":
             out.sort(key=self.bound.__getitem__)
         self.succ[i] = out = tuple(out)
@@ -474,11 +467,15 @@ def minimal_route_counts(
     an earlier hop reached with a bound no later; foremost drops crossings
     after the latest foremost arrival; fastest keys each state by the
     Pareto set of its ``(departure, bound)`` pairs and drops pairs longer
-    than the largest fastest distance.
+    than the largest fastest distance.  A state at node v adds its routes
+    to v's total only when they are minimal: for shortest, at the first
+    hop that reaches v; for foremost and fastest, when its measure (its
+    arrival after ``t``, or the least duration of its pairs) equals v's
+    distance in u's row.  So a total never compares measures.
 
-    The passes on one graph share its route-move table (``_MoveTable``):
-    the states a state moves to (``_moves``) depend on the kind, the
-    strictness and fastest's limit, not on the hop or the source.
+    The passes on one graph share its route-move table: the states a state
+    moves to (``_MoveTable.moves``) depend on the kind, the strictness and
+    fastest's limit, not on the hop or the source.
     Foremost's latest crossing and shortest's earlier hops filter what the
     table returns.  That crossing and fastest's limit are read from u's row
     (see ``_search``).
@@ -565,20 +562,19 @@ def _count_routes(
             y = node[j]
             if y == u:
                 continue  # the empty route is the only minimal route to the source
+            # only a state that ends minimal routes adds to its node's total
             if shortest:
                 if y in reached:
                     continue
                 m = h
-            elif foremost:
-                m = bound[j] - late - t
+            else:
+                m = bound[j] - late - t if foremost else measure[j]
                 if m != best[y]:
                     continue
-            else:
-                m = measure[j]
             acc = totals.get(y)
-            if acc is None or m < acc[0]:
+            if acc is None:
                 totals[y] = [m, c, thr]
-            elif m == acc[0]:
+            else:
                 acc[1] += c
                 if acc[1] >= cap:
                     return None

@@ -4,6 +4,11 @@ All indicators take an evaluation time ``t`` and a distance kind
 (shortest / foremost / fastest).  Unreachable targets make eccentricities
 unbounded (returned as ``math.inf``), contribute 0 to betweenness and are
 excluded from closeness.
+
+One walk over a graph's sources (``_walk``) serves every temporal
+indicator, for a whole graph (``diameter``, ``temporal_betweenness_all``)
+and per window (``windows.evolve_many``): it hands each source's search
+row to every indicator asked for before the next search.
 """
 
 from __future__ import annotations
@@ -19,23 +24,14 @@ def eccentricity(
 ) -> float:
     """Max ``kind`` distance from ``u`` to every other node; inf if any is unreachable."""
     d = distance_map(g, u, t, kind, strict)
-    if len(d) < g.n:
-        return math.inf
-    if g.n == 1:
-        return 0.0
-    return float(max(v for x, v in d.items() if x != u))
+    # u's own entry is 0, so it never raises the max
+    return math.inf if len(d) < g.n else float(max(d.values()))
 
 
 def diameter(g: TimeVaryingGraph, t: int, kind: str, strict: bool = False) -> float:
     """Max eccentricity over all nodes; inf if any is unbounded."""
     _check_query(g, kind, t)
-    worst = 0.0
-    for u in range(g.n):
-        e = eccentricity(g, u, t, kind, strict)
-        if math.isinf(e):
-            return math.inf
-        worst = max(worst, e)
-    return worst
+    return max(_walk(g, t, ("diameter",), kind, strict)[0], default=0.0)
 
 
 def temporal_betweenness_all(
@@ -51,25 +47,34 @@ def temporal_betweenness_all(
     its terms, so the order of the sources and targets cannot move it.
     """
     _check_query(g, kind, t)
+    return _walk(g, t, ("betweenness",), kind, strict)[2]
+
+
+def _walk(g: TimeVaryingGraph, t: int, names, kind: str, strict: bool):
+    """The walk over ``g``'s sources, in id order, for the temporal
+    indicators ``names``: ``(eccentricities, closenesses, betweenness)``,
+    each per node, the first two empty unless asked for.
+
+    Each source's indicators read its search row before the next search,
+    so the graph's one row (see ``journeys._search``) serves them all.  A
+    diameter needs eccentricities up to its first unbounded one only.
+    Betweenness keeps each node's sum exact as Shewchuk's non-overlapping
+    partials (those of ``math.fsum``, which rounds them once at the end).
+    """
+    ecc: list[float] = []
+    close: list[float] = []
     partials: list[list[float]] = [[] for _ in range(g.n)]
     for u in range(g.n):
-        _add_shares(partials, g, u, t, kind, strict)
-    return [math.fsum(p) for p in partials]
-
-
-def _add_shares(
-    partials: list[list[float]], g: TimeVaryingGraph, u: int, t: int, kind: str, strict: bool
-) -> None:
-    """Add source ``u``'s nonzero terms of q's temporal betweenness (see
-    ``temporal_betweenness_all``) to ``partials[q]``, q's running sum kept
-    exact as Shewchuk's non-overlapping partials (those of ``math.fsum``,
-    which rounds them once at the end)."""
-    for v, (_, c, through) in minimal_route_counts(g, u, t, kind, strict).items():
-        if v == u:
-            continue
-        for q, cq in enumerate(through):
-            if cq and q != u and q != v:
-                _add_exactly(partials[q], cq / c)
+        if "eccentricity" in names or ("diameter" in names and math.inf not in ecc):
+            ecc.append(eccentricity(g, u, t, kind, strict))
+        if "closeness" in names:
+            close.append(temporal_closeness(g, u, t, kind, strict))
+        if "betweenness" in names:
+            for v, (_, c, through) in minimal_route_counts(g, u, t, kind, strict).items():
+                for q, cq in enumerate(through):
+                    if cq and q != u and q != v:
+                        _add_exactly(partials[q], cq / c)
+    return ecc, close, [math.fsum(p) for p in partials]
 
 
 def _add_exactly(partials: list[float], x: float) -> None:
@@ -101,8 +106,5 @@ def temporal_closeness(
 ) -> float:
     """Mean ``kind`` distance from ``u`` to its reachable nodes; NaN if none."""
     d = distance_map(g, u, t, kind, strict)
-    others = [v for v in d if v != u]
-    if not others:
-        return math.nan
-    return sum(d[v] for v in others) / len(others)
-
+    # u's own entry is 0, so it adds nothing to the sum
+    return sum(d.values()) / (len(d) - 1) if len(d) > 1 else math.nan

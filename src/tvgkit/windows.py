@@ -235,31 +235,17 @@ def _reduce(values: list[float], reducer: str) -> float:
 def _window_temporal(g, t, names, kind, reducer, strict) -> dict[str, float]:
     """The temporal indicators ``names`` of a window, by name, NaN where
     unbounded or undefined: ``g`` is its temporal subgraph and ``t`` its
-    start; ``evolve_many`` checks the rest.
-
-    One walk over the sources, in id order, hands each source's search
-    row to every indicator before the next search, so the graph's one
-    row (see ``journeys._search``) serves them all.  A diameter reads
-    eccentricities up to its first unbounded one only.
+    start; ``evolve_many`` checks the rest.  The values come from one walk
+    over the window's sources (``temporal_metrics._walk``); an edgeless
+    window's diameter is undefined, so the walk searches for none.
     """
-    ecc: list[float] = []
-    close: list[float] = []
-    shares: list[list[float]] = [[] for _ in range(g.n)]
-    for u in range(g.n):
-        # without eccentricity, a diameter needs none past an unbounded one
-        if "eccentricity" in names or (
-            "diameter" in names and g.edges and math.inf not in ecc
-        ):
-            ecc.append(tm.eccentricity(g, u, t, kind, strict))
-        if "closeness" in names:
-            close.append(tm.temporal_closeness(g, u, t, kind, strict))
-        if "betweenness" in names:
-            tm._add_shares(shares, g, u, t, kind, strict)
+    walked = names if g.edges else [name for name in names if name != "diameter"]
+    ecc, close, between = tm._walk(g, t, walked, kind, strict)
     values = {
         "diameter": _reduce(ecc, "max") if g.edges else math.nan,
         "eccentricity": _reduce(ecc, reducer),
         "closeness": _reduce(close, reducer),
-        "betweenness": _reduce([math.fsum(p) for p in shares], reducer),
+        "betweenness": _reduce(between, reducer),
     }
     return {
         name: values[name] if math.isfinite(values[name]) else math.nan

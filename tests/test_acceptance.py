@@ -244,3 +244,22 @@ def test_11_cli_golden_static_indicators_directed(tmp_path):
     )
     assert code == 0
     assert out.read_bytes() == (DATA / "evolve_static_directed_golden.csv").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["shortest", "foremost", "fastest"])
+def test_12_cli_golden_temporal_indicators(kind, tmp_path):
+    """evolve with every temporal indicator on sliding windows of a small
+    generated trace reproduces the checked-in CSV of each distance kind
+    byte for byte; every cell is finite, so each one pins a value."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text(generate_trace("uniform-random", seed=2, nodes=12, ticks=40, p=0.15))
+    out = tmp_path / "evolve.csv"
+    code = cli.main(
+        ["evolve", str(trace), "--window", "10", "--stride", "5",
+         "--indicators", "closeness,diameter,eccentricity,betweenness",
+         "--kind", kind, "--output", str(out)]
+    )
+    assert code == 0
+    golden = (DATA / f"evolve_temporal_{kind}_golden.csv").read_bytes()
+    assert out.read_bytes() == golden
+    assert b",," not in golden and b",\n" not in golden

@@ -305,12 +305,14 @@ class TestCli:
                     "--at", str(t), "--kind", kind]
             runs.append([])
             assert self.run(*argv) == 0
-            first = capsys.readouterr().out.splitlines()[0]
-            assert first == ("unreachable" if d is None else str(d))
+            out = capsys.readouterr().out
+            assert out.splitlines()[0] == ("unreachable" if d is None else str(d))
+            if u == v:  # the empty journey
+                assert out == "0\n\n"
         # one witness per query, reachable or not, and one search, which
-        # the printed distance reads too
+        # the printed distance reads too; none from a node to itself
         assert len(searches) == len(expected)
-        assert runs == [[kind]] * len(expected)
+        assert runs == [[] if u == v else [kind] for u, v, _ in expected]
         assert None in expected.values() and 0 in expected.values()
 
     def test_query_unknown_node_is_data_error(self, trace_file, capsys):
@@ -340,6 +342,19 @@ class TestCli:
 
     def test_evolve_unknown_indicator_is_usage_error(self, trace_file):
         assert self.run("evolve", trace_file, "--window", "3", "--indicators", "xx") == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_evolve_repeated_indicator_is_usage_error(self, tmp_path, capsys, fmt):
+        # rejected before the trace is read: a missing file would exit 2
+        missing = str(tmp_path / "missing.csv")
+        code = self.run(
+            "evolve", missing, "--window", "3",
+            "--indicators", "density,diameter,density", "--format", fmt,
+        )
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "tvgkit: error: indicator 'density' requested twice\n"
 
     def test_evolve_bad_stride_is_usage_error(self, trace_file):
         assert (

@@ -990,6 +990,16 @@ class TestSearchRows:
         assert all(math.isnan(v) for v in series.values)
         assert len(calls) == len({id(sub) for sub, *_ in calls}) == 12
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_an_edgeless_window_searches_nothing_for_its_diameter(self, monkeypatch, kind):
+        # window [4, 8) has every node and no edge under the policy "all"
+        g = tvg([(0, 1, 0, 3)], n=3, end=8)
+        calls = count_searches(monkeypatch)
+        series = evolve_many(g, WindowSpec(4), ["diameter"], node_policy="all", kind=kind)[0]
+        assert all(math.isnan(v) for v in series.values)
+        # one search, for window [0, 4): its first source is unbounded
+        assert [(u, t) for _, u, t, *_ in calls] == [(0, 0)]
+
     @pytest.mark.parametrize(
         "kind, names",
         [

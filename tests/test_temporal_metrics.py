@@ -273,6 +273,37 @@ class TestBetweenness:
         assert sources == [u for n in active for u in range(n)]
 
 
+class TestWindowTemporal:
+    """A window's temporal values are the standalone indicators, reduced."""
+
+    @pytest.mark.parametrize("shape", ["undirected", "directed", "always-on"])
+    def test_a_window_equals_the_standalone_functions(self, shape):
+        rng = random.Random(17)
+        for _ in range(6):
+            if shape == "always-on":
+                g = random_always_on_tvg(rng, n_max=6)
+            else:
+                g = random_tvg(rng, n_max=6, e_max=9, horizon=10, directed=shape == "directed")
+            t = rng.randrange(g.lifetime.start, g.lifetime.end)
+            for kind in KINDS:
+                for strict in (False, True):
+                    per_node = {
+                        "eccentricity": [eccentricity(g, u, t, kind, strict) for u in range(g.n)],
+                        "closeness": [temporal_closeness(g, u, t, kind, strict) for u in range(g.n)],
+                        "betweenness": temporal_betweenness_all(g, t, kind, strict),
+                    }
+                    d = diameter(g, t, kind, strict)
+                    for reducer in REDUCERS:
+                        expect = {name: _reduce(v, reducer) for name, v in per_node.items()}
+                        expect["diameter"] = d
+                        expect = {
+                            name: expect[name] if math.isfinite(expect[name]) else math.nan
+                            for name in TEMPORAL_INDICATORS
+                        }
+                        got = _window_temporal(g, t, TEMPORAL_INDICATORS, kind, reducer, strict)
+                        assert repr(got) == repr(expect)
+
+
 class TestTimelineBuilds:
     """Timeline builds (counts, not timings): one per graph, not per source."""
 
