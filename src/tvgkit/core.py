@@ -6,9 +6,8 @@ which the edge exists.  Time is measured in integer ticks whose unit is the
 caller's convention (seconds, days, ...).  All intervals are half-open
 ``[a, b)``.
 
-Importing this module does not load numpy: the interval table behind
-:meth:`TimeVaryingGraph.arcs_at` is its only bulk arithmetic, and its first
-call imports numpy to build it.
+A graph keeps one index of its intervals by time, its :class:`Timeline`;
+this module imports no numpy.
 """
 
 from __future__ import annotations
@@ -189,11 +188,15 @@ class Timeline(NamedTuple):
     starts or has its last tick; ``opening[a]`` and ``closing[a]`` list the
     arcs ``(tail, edge index, head)`` of the intervals starting at ``a`` and
     of those whose last tick is ``a`` (both directions when undirected).
+    ``longest`` is the length of the graph's longest interval, 0 when it
+    has none: an interval that starts ``longest`` or more ticks before
+    ``t`` has closed by ``t``.
     """
 
     times: list[int]
     opening: dict[int, list[tuple[int, int, int]]]
     closing: dict[int, list[tuple[int, int, int]]]
+    longest: int
 
 
 class TimeVaryingGraph:
@@ -207,11 +210,11 @@ class TimeVaryingGraph:
 
     What only journey searches read is built on first use and then kept,
     since the graph is immutable: the out- and in-adjacency behind
-    :meth:`out_edges` and :meth:`in_edges`, the :meth:`timeline`, the
-    :meth:`arcs_at` table and, per distance kind, mode and fastest limit,
-    the route-move table that every route-count pass on the graph shares:
-    each state met so far as an int id, with its node, bound, successor
-    ids and fastest's measure (see ``journeys._MoveTable``).
+    :meth:`out_edges` and :meth:`in_edges`, the :meth:`timeline` and, per
+    distance kind, mode and fastest limit, the route-move table that every
+    route-count pass on the graph shares: each state met so far as an int
+    id, with its node, bound, successor ids and fastest's measure (see
+    ``journeys._MoveTable``).
     Searches keep one row too: the latest search's ``(distances,
     records)``, which the next search replaces (see ``journeys._search``).
     A graph that only feeds footprints builds none of them, and graphs
@@ -257,7 +260,6 @@ class TimeVaryingGraph:
         self.edges = tuple(edges)
         self.presence = tuple(presence)
         self._timeline: Optional[Timeline] = None
-        self._intervals: Optional[tuple] = None
         # (kind, strict, limit) -> ``journeys._MoveTable``: every route-count
         # state met so far as an int id, with its node, bound, successor ids
         # and (fastest) measure; filled by ``journeys.minimal_route_counts``
@@ -301,16 +303,6 @@ class TimeVaryingGraph:
             self._timeline = _build_timeline(self)
         return self._timeline
 
-    def arcs_at(self, t: int) -> list[tuple[int, int, int]]:
-        """The arcs ``(tail, edge index, head)`` present at ``t``, in edge
-        order, ``u -> v`` first; the interval table is built on first use."""
-        import numpy as np
-
-        if self._intervals is None:
-            self._intervals = _build_interval_table(self)
-        arcs, starts, ends = self._intervals
-        return [arcs[i] for i in np.flatnonzero((starts <= t) & (t < ends)).tolist()]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TimeVaryingGraph)
@@ -347,21 +339,8 @@ def _build_timeline(g: TimeVaryingGraph) -> Timeline:
             opening.setdefault(a, []).append(arc)
         for b in p._ends:
             closing.setdefault(b - 1, []).append(arc)
-    return Timeline(sorted(opening.keys() | closing.keys()), opening, closing)
-
-
-def _build_interval_table(g: TimeVaryingGraph) -> tuple:
-    # every presence interval of every arc: ``[starts[i], ends[i])`` of ``arcs[i]``
-    import numpy as np
-
-    arcs: list[tuple[int, int, int]] = []
-    starts: list[int] = []
-    ends: list[int] = []
-    for arc, p in _arcs(g):
-        arcs += [arc] * len(p._starts)
-        starts += p._starts
-        ends += p._ends
-    return arcs, np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+    longest = max((b - a for p in g.presence for a, b in zip(p._starts, p._ends)), default=0)
+    return Timeline(sorted(opening.keys() | closing.keys()), opening, closing, longest)
 
 
 def _edge_key(item):

@@ -10,8 +10,8 @@ arrival after a start time) and fastest (smallest arrival minus departure).
 Each kind has one search: shortest a pruned hop-by-hop search, foremost
 an earliest-arrival search and fastest one time-forward pass over the
 critical times at or after the start time, with one label per node (see
-``_fastest_flood``).  A pass that starts after the lifetime start asks
-the graph which arcs are present then (``TimeVaryingGraph.arcs_at``).
+``_fastest_flood``).  A pass replays the graph's ``Timeline`` to find the
+arcs present at its start time.
 
 Every search returns ``(distances, records)``: the ``kind`` distance per
 reachable node, and per reachable node the record of one witness journey,
@@ -197,14 +197,19 @@ def _fastest_flood(g: TimeVaryingGraph, u: int, t: int, strict: bool = False):
     is the record of a fastest journey to v, kept when v first reached
     its duration.
     """
-    _, opening, closing = g.timeline()
+    times, opening, closing, longest = g.timeline()
+    # the arcs present at t: an interval open at t started in
+    # (t - longest, t], so replay those ticks, dropping what closed before t
+    live: set[tuple[int, int, int]] = set()
+    for c in times[bisect.bisect_right(times, t - longest) : bisect.bisect_right(times, t)]:
+        live.update(opening.get(c, ()))
+        if c < t:
+            live.difference_update(closing.get(c, ()))
     # present[x]: {edge: head} of the arcs out of x present at the current
-    # tick, in edge order; at the lifetime start every interval open at t
-    # starts at t, and the first tick opens it
+    # tick, in edge order
     present: list[dict[int, int]] = [{} for _ in range(g.n)]
-    if t > g.lifetime.start:
-        for x, ei, y in g.arcs_at(t):
-            present[x][ei] = y
+    for x, ei, y in sorted(live):
+        present[x][ei] = y
     label = [t - 1] * g.n  # latest departure reaching each node; t - 1: none yet
     rec: list[Optional[tuple]] = [None] * g.n
     dur = {u: 0}

@@ -16,7 +16,9 @@ from tvgkit.core import (
     temporal_subgraph,
 )
 
-from oracles import random_tvg
+from tvgkit.journeys import distance_map, is_journey, witness_journey
+
+from oracles import oracle_distances, random_tvg
 
 
 def simple_tvg(events, n=3, end=10, directed=False):
@@ -255,13 +257,16 @@ class TestAdjacency:
         assert parallel > 0
 
 
-class TestArcsAt:
+class TestFastestStartState:
+    """A fastest flood from ``t`` starts with the arcs present at ``t``,
+    replayed from the graph's timeline over the ticks ``(t - longest, t]``."""
+
     @pytest.mark.parametrize("directed", [False, True])
-    def test_matches_presence_in_edge_order(self, directed):
+    def test_floods_from_every_start_match_oracle(self, directed):
         rng = random.Random(23)
         parallel = 0
-        for _ in range(100):
-            base = random_tvg(rng, directed=directed)
+        for _ in range(3):
+            base = random_tvg(rng, n_max=6, e_max=9, horizon=30, directed=directed)
             # a labelled parallel edge beside some edges, present at other times
             events = [
                 (e.u, e.v, a, b) for e, p in zip(base.edges, base.presence) for a, b in p.intervals
@@ -273,16 +278,31 @@ class TestArcsAt:
                     events.append((e.u, e.v, a, rng.randint(a + 1, life.end), rng.choice("xy")))
             g = build_tvg(base.n, directed, life, events)
             parallel += len(g.edges) - len({(e.u, e.v) for e in g.edges})
-            for t in range(g.lifetime.start, g.lifetime.end):
-                # edge i's arcs, u -> v first; undirected, both ways round
-                expected = [
-                    arc
-                    for i, e in enumerate(g.edges)
-                    if t in g.presence[i]
-                    for arc in [(e.u, i, e.v)] + ([] if directed else [(e.v, i, e.u)])
-                ]
-                assert g.arcs_at(t) == expected
+            for strict in (False, True):
+                for t in range(life.start, life.end):
+                    for u in range(g.n):
+                        d = distance_map(g, u, t, "fastest", strict)
+                        assert d == oracle_distances(g, u, t, strict)["fastest"]
+                        for v in d.keys() - {u}:
+                            steps = witness_journey(g, u, v, t, "fastest", strict)
+                            assert is_journey(g, steps, strict=strict)
+                            assert steps[0][1] >= t
+                            assert steps[-1][1] - steps[0][1] == d[v]
         assert parallel > 0
+
+    def test_the_longest_interval_is_present_at_its_last_tick(self):
+        # (0,1)'s [4, 8) is the longest interval, so a flood at its last tick
+        # 7 replays from its start 4; its earlier [1, 3) closed at 2
+        g = simple_tvg([(0, 1, 1, 3), (0, 1, 4, 8), (1, 2, 7, 8)], n=3)
+        assert g.timeline().longest == 4
+        assert distance_map(g, 0, 7, "fastest") == {0: 0, 1: 0, 2: 0}
+        assert witness_journey(g, 0, 2, 7, "fastest") == [(0, 7), (1, 7)]
+        assert distance_map(g, 0, 7, "fastest", strict=True) == {0: 0, 1: 0}
+        for strict in (False, True):
+            for t in range(10):
+                expect = oracle_distances(g, 0, t, strict)["fastest"]
+                assert distance_map(g, 0, t, "fastest", strict) == expect
+        assert simple_tvg([], n=2).timeline().longest == 0
 
 
 class TestPresenceQuery:

@@ -97,21 +97,15 @@ def numpy_imports(node, scope: str, in_function: bool = False) -> Iterator[Optio
 
 
 def test_numpy_is_imported_only_where_bulk_arithmetic_runs():
-    # journey searches ask ``core`` which arcs are present; only the
-    # present-arc table and the conductance sweep's matrix use numpy, and
-    # each imports it on first use, so ``import tvgkit`` does not
+    # only the conductance sweep's matrix uses numpy, and it imports it on
+    # first use, so ``import tvgkit`` does not
     importers = {
         where
         for path in PACKAGE.glob("*.py")
         for where in numpy_imports(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     }
     assert None not in importers, "a module imports numpy at import time"
-    assert {where.split(".")[0] for where in importers} == {"core", "static_metrics"}
-    assert importers == {
-        "core._build_interval_table",
-        "core.TimeVaryingGraph.arcs_at",
-        "static_metrics._sweep_order",
-    }
+    assert importers == {"static_metrics._sweep_order"}
 
 
 def numpy_loaded_after(*argvs: list[str]) -> list[bool]:
@@ -170,8 +164,7 @@ KINDS = ("shortest", "foremost", "fastest")
 
 
 def test_cold_start_loads_no_numpy(pt20):
-    # a temporal evolve's floods start at window starts and a query here at
-    # the lifetime start, so neither builds the interval table
+    # searches read the graph's timeline, from any start time
     steps = {
         "import tvgkit.cli": None,
         **{
@@ -182,6 +175,7 @@ def test_cold_start_loads_no_numpy(pt20):
         "footprint": ["footprint", pt20],
         "generate": ["generate", "uniform-random", "--seed", "1", "--nodes", "20", "--ticks", "40"],
         **{f"query --kind {kind} --at 0": query(pt20, 0, kind) for kind in KINDS},
+        "query --kind fastest --at 5": query(pt20, 5, "fastest"),
     }
     loaded = numpy_loaded_after(*filter(None, steps.values()))
     assert len(loaded) == len(steps)
@@ -191,4 +185,3 @@ def test_cold_start_loads_no_numpy(pt20):
 def test_bulk_arithmetic_loads_numpy(pt20, ur30):
     # the gate above would pass vacuously if no path loaded numpy at all
     assert numpy_loaded_after(evolve(ur30, "conductance")) == [False, True]
-    assert numpy_loaded_after(query(pt20, 5, "fastest")) == [False, True]

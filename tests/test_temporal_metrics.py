@@ -339,19 +339,11 @@ class TestTimelineBuilds:
         assert len(built) == len(series.values) == 3
         assert len(set(map(id, built))) == 3
 
-    def test_window_floods_build_no_interval_table(self, monkeypatch):
-        # every window's flood starts at the window start, where no arc is
-        # present before the first tick opens it
-        def no_table(g):
-            raise AssertionError("a window flood built the interval table")
-
-        monkeypatch.setattr(core, "_build_interval_table", no_table)
+    def test_sliding_windows_flood_from_each_window_start(self):
         g = tvg([(0, 1, 0, 3), (1, 2, 2, 5), (2, 3, 4, 9), (0, 3, 6, 8)], n=4)
         for strict in (False, True):
             series = evolve(g, WindowSpec(4, 2), "closeness", kind="fastest", strict=strict)
             assert any(v > 0 for v in series.values)
-        with pytest.raises(AssertionError, match="interval table"):
-            distance_map(g, 0, 1, "fastest")
 
 
 class TestRouteMoveTables:
