@@ -4,16 +4,18 @@ The lifetime is cut into consecutive (or sliding) half-open windows; each
 window yields either a footprint (for atemporal indicators) or a temporal
 subgraph (for journey-based indicators); ``evolve`` / ``evolve_many``,
 the one windowed loop, turn each indicator into a per-window series.
-Footprints slide from window to window by their edge deltas: the edges
-that enter and leave update per-node degrees and link counts
-(``Footprint.degrees``, ``Footprint.links``), ready-made per footprint.
+Footprints slide from window to window by counting, per footprint edge,
+the presence intervals that meet the window: each interval is read once,
+and the edges whose count rises from or falls to 0 update per-node
+degrees and link counts (``Footprint.degrees``, ``Footprint.links``),
+ready-made per footprint.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import compress
 from typing import Iterator, Optional, Sequence
 
 from . import static_metrics as sm
@@ -21,7 +23,6 @@ from . import temporal_metrics as tm
 from .core import (
     Footprint,
     Lifetime,
-    PresenceSet,
     TimeVaryingGraph,
     _count_links,
     restrict_nodes,
@@ -100,6 +101,26 @@ def _check_policy(node_policy: str) -> None:
         raise ValueError(f"unknown node policy {node_policy!r}")
 
 
+def _count(counts: dict, keys_in: list, keys_out: list) -> tuple[list, list]:
+    """Add one to the count of each of ``keys_in``, then take one from each
+    of ``keys_out``; the keys whose count rose from 0, and those whose count
+    fell to 0 (and that leave ``counts``)."""
+    rose, fell = [], []
+    for key in keys_in:
+        c = counts.get(key, 0)
+        counts[key] = c + 1
+        if not c:
+            rose.append(key)
+    for key in keys_out:
+        c = counts[key] - 1
+        if c:
+            counts[key] = c
+        else:
+            del counts[key]
+            fell.append(key)
+    return rose, fell
+
+
 def _footprints(
     g: TimeVaryingGraph, spec: WindowSpec, wins: list[Window], node_policy: str
 ) -> Iterator[Footprint]:
@@ -108,70 +129,41 @@ def _footprints(
     Window j is ``[first + j*stride, first + j*stride + length)`` clipped
     to the lifetime, so an interval ``[s, t)`` meets exactly the windows j
     with ``first + j*stride < t`` and ``s < first + j*stride + length``.
-    One pass over the TVG edges checks each once and groups their presence
-    by footprint edge (and, when directed, by undirected pair); each run of
-    consecutive windows that a group meets becomes an entry at the run's
-    first window and an exit after its last.  The sweep then slides from
-    window to window by these deltas, keeping the edge set and, per node
-    id, the neighbour bitmask and the edges among the neighbours (see
-    ``Footprint.links``).  A window's link counts follow its changed pairs
-    and their common neighbours, or, when those outnumber its pairs, are
-    recounted over its pairs, the work of a footprint built on its own.
+    One pass over the presence intervals files each interval's footprint
+    edge as entering at the first window it meets and leaving after its
+    last.  The sweep then counts, per footprint edge, its intervals that
+    meet the window, adding the entries before taking the exits: an edge is
+    in the footprint while its count is positive, whichever of its
+    intervals, or of its labelled parallel edges' intervals, meet the
+    window.  A directed graph counts the same way, per undirected pair, its
+    arcs in the window.  Per node id the sweep keeps the neighbour bitmask
+    and the edges among the neighbours (see ``Footprint.links``).  A
+    window's link counts follow its changed pairs and their common
+    neighbours, or, when those outnumber its pairs, are recounted over its
+    pairs, the work of a footprint built on its own.
     """
     first, stride, length = g.lifetime.start, spec.stride, spec.length
     n, directed, last = g.n, g.directed, len(wins) - 1
-    by_edge: dict[tuple[int, int], list[PresenceSet]] = {}
+    enter: list[list[tuple[int, int]]] = [[] for _ in wins]
+    leave: list[list[tuple[int, int]]] = [[] for _ in range(last + 2)]
     for e, p in zip(g.edges, g.presence):
         uv = (e.u, e.v) if directed or e.u < e.v else (e.v, e.u)
-        by_edge.setdefault(uv, []).append(p)
-
-    def deltas(groups: dict) -> tuple[list[list], list[list]]:
-        """Per window, the keys of ``groups`` that enter it and that leave it."""
-        enter: list[list] = [[] for _ in range(last + 2)]
-        leave: list[list] = [[] for _ in range(last + 2)]
-        for key, ps in groups.items():
-            intervals = (
-                ps[0].intervals if len(ps) == 1
-                else sorted(chain.from_iterable(p.intervals for p in ps))
-            )
-            # the key's current run of windows: empty at window 0, so that a
-            # run reaching back before the first window starts there
-            start, end = 0, -1
-            for s, t in intervals:
-                # the windows [lo, hi] that [s, t) meets; never empty, as the
-                # windows cover the lifetime
-                lo = (s - length - first) // stride + 1
-                hi = min(last, (t - 1 - first) // stride)
-                if lo > end + 1:
-                    if end >= start:
-                        enter[start].append(key)
-                        leave[end + 1].append(key)
-                    start, end = lo, hi
-                elif hi > end:
-                    end = hi
-            if end >= start:
-                enter[start].append(key)
-                leave[end + 1].append(key)
-        return enter, leave
-
-    edges_in, edges_out = deltas(by_edge)
-    present: set[tuple[int, int]] = set()  # the window's footprint edges
-    if directed:
-        by_pair: dict[tuple[int, int], list[PresenceSet]] = {}
-        for (u, v), ps in by_edge.items():
-            by_pair.setdefault((u, v) if u < v else (v, u), []).extend(ps)
-        pairs_in, pairs_out = deltas(by_pair)
-        pairs: set[tuple[int, int]] = set()  # the window's undirected pairs
-    else:
-        pairs_in, pairs_out, pairs = edges_in, edges_out, present
+        for s, t in p.intervals:
+            # the first and one past the last window that [s, t) meets; it
+            # meets at least one, as the windows cover the lifetime
+            enter[max(0, (s - length - first) // stride + 1)].append(uv)
+            leave[min(last, (t - 1 - first) // stride) + 1].append(uv)
+    # per footprint edge and per undirected pair, its intervals or arcs in
+    # the window; the keys are the window's edges and pairs
+    present: dict[tuple[int, int], int] = {}
+    pairs = {} if directed else present
     bits, links = [0] * n, [0] * n
-    deltas_by_window = zip(wins, edges_in, edges_out, pairs_in, pairs_out)
-    for win, e_in, e_out, p_in, p_out in deltas_by_window:
-        present.difference_update(e_out)
-        present.update(e_in)
-        if directed:
-            pairs.difference_update(p_out)
-            pairs.update(p_in)
+    for win, e_in, e_out in zip(wins, enter, leave):
+        p_in, p_out = _count(present, e_in, e_out)
+        if directed:  # the arcs that came and went, counted per pair
+            p_in = [(u, v) if u < v else (v, u) for u, v in p_in]
+            p_out = [(u, v) if u < v else (v, u) for u, v in p_out]
+            p_in, p_out = _count(pairs, p_in, p_out)
         # the pairs that vanish or appear, with the neighbours their ends
         # share then (a triangle at both ends and at each common neighbour),
         # as long as following them is less work than recounting every pair

@@ -127,7 +127,29 @@ class TestFootprintSweep:
             if node_policy == "active":
                 f = Footprint(active_nodes(f), f.directed, f.edges, f.window)
             expected.append(f)
-        assert footprint_sequence(g, spec, node_policy) == expected
+        seq = footprint_sequence(g, spec, node_policy)
+        assert seq == expected
+        for f, fresh in zip(seq, expected):
+            assert f.degrees() == fresh.degrees()
+            assert f.links() == fresh.links()
+
+    @pytest.mark.parametrize(
+        "directed,handover",
+        [
+            (True, [(0, 1, 0, 4), (1, 0, 4, 8)]),
+            (False, [(0, 1, 0, 4, "x"), (0, 1, 4, 8, "y")]),
+            (True, [(0, 1, 0, 4, "x"), (0, 1, 4, 8, "y")]),
+        ],
+        ids=["arc-to-reverse-arc", "labelled-parallel", "labelled-parallel-arcs"],
+    )
+    @pytest.mark.parametrize("spec", [WindowSpec(4), WindowSpec(4, 2)])
+    def test_pair_handed_over_at_a_window_bound_stays(self, directed, handover, spec):
+        # one edge of the pair {0,1} leaves as another enters, so the pair,
+        # and with it the triangle 0-1-2, is in every window
+        events = handover + [(0, 2, 0, 8), (1, 2, 0, 8)]
+        g = build_tvg(3, directed, Lifetime(0, 8), events)
+        seq = _matching_fresh_footprints(g, spec)
+        assert [f.links() for f in seq] == [{0: 1, 1: 1, 2: 1}] * len(seq)
 
     def test_edge_with_two_intervals_in_one_window_joins_once(self):
         g = build_tvg(2, False, Lifetime(0, 10), [(0, 1, 1, 2), (0, 1, 3, 4)])
@@ -144,6 +166,19 @@ class TestFootprintSweep:
         g = build_tvg(2, False, Lifetime(0, 4), [(0, 1, 0, 2)])
         with pytest.raises(ValueError, match="node policy"):
             footprint_sequence(g, WindowSpec(2), node_policy="some")
+
+
+def _matching_fresh_footprints(g, spec):
+    """The footprint sequence of ``g`` under node policy ``all``, after
+    checking that it has one footprint per window and each matches a
+    footprint built on its own: its edges, degrees and link counts."""
+    seq = footprint_sequence(g, spec, "all")
+    for f, (a, b) in zip(seq, windows_of(g.lifetime, spec), strict=True):
+        assert f == footprint(g, a, b)
+        fresh = Footprint(f.nodes, f.directed, f.edges, f.window)
+        assert f.degrees() == fresh.degrees()
+        assert f.links() == fresh.links()
+    return seq
 
 
 def sweep_case(rng, directed=None):
@@ -215,6 +250,22 @@ class TestDeltaSweep:
             for p in g.presence
             for a, b in p.intervals
         )
+        # a window met by two intervals of one footprint edge: of one edge,
+        # or of labelled parallel edges
+        def met(g, a, b):
+            return [
+                (e.u, e.v) if g.directed or e.u < e.v else (e.v, e.u)
+                for e, p in zip(g.edges, g.presence)
+                for s, t in p.intervals
+                if s < b and a < t
+            ]
+
+        assert any(
+            len(set(keys)) < len(keys)
+            for g, s in cases
+            for a, b in windows_of(g.lifetime, s)
+            for keys in [met(g, a, b)]
+        )
         fs = [f for g, s in cases for f in footprint_sequence(g, s, "all")]
         assert any(f.edges and max(map(max, f.edges)) >= 64 for f in fs)
         assert sum(1 for f in fs if any(f.links().values())) >= 50
@@ -233,13 +284,7 @@ class TestDeltaSweep:
             for a in rng.sample(range(29), 2)
         ]
         g = build_tvg(10, directed, Lifetime(0, 30), events)
-        spec = WindowSpec(6, stride)
-        seq = footprint_sequence(g, spec, "all")
-        for f, (a, b) in zip(seq, windows_of(g.lifetime, spec)):
-            assert f == footprint(g, a, b)
-            fresh = Footprint(f.nodes, f.directed, f.edges, f.window)
-            assert f.degrees() == fresh.degrees()
-            assert f.links() == fresh.links()
+        _matching_fresh_footprints(g, WindowSpec(6, stride))
 
     def test_unsorted_directly_built_tvg(self):
         # a TVG built without build_tvg: undirected endpoints in either order
@@ -249,11 +294,7 @@ class TestDeltaSweep:
             [PresenceSet([(0, 4)]), PresenceSet([(2, 6)]),
              PresenceSet([(1, 2)]), PresenceSet([(3, 5)])],
         )
-        seq = footprint_sequence(g, WindowSpec(2, 1), "all")
-        assert seq == [footprint(g, a, b) for a, b in windows_of(g.lifetime, WindowSpec(2, 1))]
-        assert [f.links() for f in seq] == [
-            Footprint(f.nodes, False, f.edges, f.window).links() for f in seq
-        ]
+        _matching_fresh_footprints(g, WindowSpec(2, 1))
 
     @pytest.mark.parametrize("directed", [False, True])
     @pytest.mark.parametrize("node_policy", ["all", "active"])
